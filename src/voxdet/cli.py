@@ -41,11 +41,10 @@ from .detection_head import (
     decode_box,
     encode_box,
     focal_loss,
-    generate_anchors,
     smooth_l1_loss,
 )
 from .engine import Tensor, gradient_check
-from .evaluation import evaluate_detections, format_report, infer_detections
+from .evaluation import decode_detections, evaluate, format_report, run_branch
 from .geometry import (
     Box3D,
     PointCloud,
@@ -357,23 +356,10 @@ def _load_dataset(root) -> list[tuple[str, PointCloud, list[Box3D]]]:
 def _resolve_config(args) -> RunConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed, train=replace(cfg.train, seed=args.seed))
+        cfg = replace(cfg, train=replace(cfg.train, seed=args.seed))
     if args.out is not None:
         cfg = replace(cfg, data=replace(cfg.data, out=args.out))
     return cfg
-
-
-def _eval_report(cfg: RunConfig, params, scenes):
-    anchors = generate_anchors(cfg.network.bev_shape, cfg.grid,
-                               dims=cfg.anchors.dims, z_center=cfg.anchors.z_center)
-    per_scene = []
-    for _, cloud, boxes in scenes:
-        dets, scores = infer_detections(
-            params, cloud, cfg.network, anchors, cfg.eval.score_threshold,
-            cfg.eval.nms_iou, cfg.train.codec)
-        per_scene.append((dets, scores, boxes))
-    return evaluate_detections(per_scene, cfg.eval.iou_threshold,
-                               cfg.eval.interpolation, cfg.eval.metric)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +401,8 @@ def _cmd_train_cfg(args) -> int:
     os.makedirs(cfg.data.out, exist_ok=True)
     params, log = train_cfg(scenes, cfg.network, cfg.train,
                             checkpoint_dir=cfg.data.out
-                            if cfg.train.checkpoint_every else None)
+                            if cfg.train.checkpoint_every else None,
+                            anchors=cfg.anchors)
     engine.save_checkpoint(os.path.join(cfg.data.out, "cfg.ckpt"), params)
     with open(os.path.join(cfg.data.out, "cfg_log.txt"), "w") as fh:
         fh.write(format_loss_log(log))
@@ -447,7 +434,8 @@ def _cmd_train(args) -> int:
     os.makedirs(cfg.data.out, exist_ok=True)
     params, log = train_associate(pairs, cfg_params, cfg.network, cfg.train,
                                   checkpoint_dir=cfg.data.out
-                                  if cfg.train.checkpoint_every else None)
+                                  if cfg.train.checkpoint_every else None,
+                                  anchors=cfg.anchors)
     engine.save_checkpoint(os.path.join(cfg.data.out, "pfe.ckpt"), params)
     with open(os.path.join(cfg.data.out, "train_log.txt"), "w") as fh:
         fh.write(format_loss_log(log))
@@ -464,7 +452,11 @@ def _cmd_eval(args) -> int:
         raise FileNotFoundError(f"checkpoint not found: {ckpt}")
     params = engine.load_checkpoint(ckpt)
     root = cfg.data.conceptual if args.dataset == "conceptual" else cfg.data.scenes
-    report = _eval_report(cfg, params, _load_dataset(root))
+    scenes = [(c, b) for _, c, b in _load_dataset(root)]
+    report = evaluate(params, scenes, cfg.network, cfg.eval.iou_threshold,
+                      cfg.eval.interpolation, cfg.eval.metric,
+                      cfg.eval.score_threshold, cfg.eval.nms_iou, cfg.train.codec,
+                      anchors=cfg.anchors)
     text = format_report(report)
     os.makedirs(cfg.data.out, exist_ok=True)
     with open(os.path.join(cfg.data.out, f"eval_{args.dataset}.txt"), "w") as fh:
@@ -487,19 +479,15 @@ def _cmd_render_bev(args) -> int:
         if not os.path.isfile(args.checkpoint):
             raise FileNotFoundError(f"checkpoint not found: {args.checkpoint}")
         params = engine.load_checkpoint(args.checkpoint)
-    anchors = generate_anchors(cfg.network.bev_shape, cfg.grid,
-                               dims=cfg.anchors.dims, z_center=cfg.anchors.z_center)
+    anchors = cfg.anchors.generate(cfg.network.bev_shape, cfg.grid)
     os.makedirs(cfg.data.out, exist_ok=True)
-    from .network import pfe_forward
     for name, cloud, boxes in scenes:
         preds, weights = [], None
         if params is not None:
-            preds, _ = infer_detections(
-                params, cloud, cfg.network, anchors, cfg.eval.score_threshold,
-                cfg.eval.nms_iou, cfg.train.codec)
-            if "offsets.weight" in params:
-                tensors = {k: Tensor(v) for k, v in params.items()}
-                out = pfe_forward(cloud, tensors, cfg.network)
+            out = run_branch(params, cloud, cfg.network)
+            preds, _ = decode_detections(out, anchors, cfg.eval.score_threshold,
+                                         cfg.eval.nms_iou, cfg.train.codec)
+            if out.offsets is not None:
                 fg = adaptation.foreground_mask(boxes, cloud, cfg.grid,
                                                 SPATIAL_DOWNSAMPLE)
                 weights = adaptation.reweighting_map(
@@ -552,7 +540,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="run config YAML")
     common.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
+                        help="override train.seed")
     common.add_argument("--out", default=None, help="override the output dir")
 
     p = sub.add_parser("make-data", help="generate a synthetic mini-dataset")

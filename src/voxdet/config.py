@@ -11,13 +11,7 @@ from dataclasses import dataclass, field, fields
 
 import yaml
 
-from .detection_head import (
-    ANCHOR_DIMS,
-    ANCHOR_Z_CENTER,
-    NEGATIVE_IOU,
-    NMS_IOU_DEFAULT,
-    POSITIVE_IOU,
-)
+from .detection_head import NMS_IOU_DEFAULT, AnchorConfig
 from .evaluation import METRIC_BEV, METRIC_3D
 from .network import NetworkConfig
 from .trainer import TrainConfig
@@ -45,21 +39,6 @@ class ConceptualConfig:
 
 
 @dataclass(frozen=True)
-class AnchorConfig:
-    dims: tuple[float, float, float] = ANCHOR_DIMS
-    z_center: float = ANCHOR_Z_CENTER
-    positive_iou: float = POSITIVE_IOU
-    negative_iou: float = NEGATIVE_IOU
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(float(v) for v in self.dims))
-        if len(self.dims) != 3 or min(self.dims) <= 0:
-            raise ValueError("anchor dims must be three positive numbers")
-        if not (0.0 <= self.negative_iou <= self.positive_iou <= 1.0):
-            raise ValueError("need 0 <= negative_iou <= positive_iou <= 1")
-
-
-@dataclass(frozen=True)
 class EvalConfig:
     iou_threshold: float = 0.7
     interpolation: int = 40
@@ -76,7 +55,6 @@ class EvalConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int = 0
     data: DataPaths = field(default_factory=DataPaths)
     grid: GridConfig = field(default_factory=default_grid)
     network: NetworkConfig | None = None  # filled from grid in __post_init__
@@ -118,7 +96,6 @@ def _section_dict(obj, names) -> dict:
 
 def to_dict(cfg: RunConfig) -> dict:
     return {
-        "seed": cfg.seed,
         "data": _section_dict(cfg.data, (f.name for f in fields(DataPaths))),
         "grid": _section_dict(cfg.grid, (f.name for f in fields(GridConfig))),
         "network": _section_dict(cfg.network, _NETWORK_FIELDS),
@@ -155,9 +132,9 @@ def from_dict(d: dict) -> RunConfig:
     if not isinstance(d, dict):
         raise ValueError("config root must be a mapping")
     for key in d:
-        if key != "seed" and key not in _SECTIONS:
+        if key not in _SECTIONS:
             raise ValueError(f"unknown config section '{key}'")
-        if key != "seed" and not isinstance(d[key], dict):
+        if not isinstance(d[key], dict):
             raise ValueError(f"section '{key}' must be a mapping")
     grid = (_build_section("grid", GridConfig, d["grid"])
             if "grid" in d else default_grid())
@@ -165,7 +142,7 @@ def from_dict(d: dict) -> RunConfig:
     parts = {name: _build_section(name, cls, d[name])
              for name, cls in _SECTIONS.items()
              if name in d and name not in ("grid", "network")}
-    return RunConfig(seed=int(d.get("seed", 0)), grid=grid,
+    return RunConfig(grid=grid,
                      network=NetworkConfig(grid=grid, **net_kwargs), **parts)
 
 

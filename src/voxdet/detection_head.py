@@ -64,6 +64,28 @@ def generate_anchors(feature_shape: tuple[int, int], grid: GridConfig,
     return anchors
 
 
+@dataclass(frozen=True)
+class AnchorConfig:
+    """Anchor size and height, and the IoU thresholds that label anchors."""
+
+    dims: tuple[float, float, float] = ANCHOR_DIMS
+    z_center: float = ANCHOR_Z_CENTER
+    positive_iou: float = POSITIVE_IOU
+    negative_iou: float = NEGATIVE_IOU
+
+    def __post_init__(self):
+        object.__setattr__(self, "dims", tuple(float(v) for v in self.dims))
+        if len(self.dims) != 3 or min(self.dims) <= 0:
+            raise ValueError("anchor dims must be three positive numbers")
+        if not (0.0 <= self.negative_iou <= self.positive_iou <= 1.0):
+            raise ValueError("need 0 <= negative_iou <= positive_iou <= 1")
+
+    def generate(self, feature_shape: tuple[int, int], grid: GridConfig) -> np.ndarray:
+        """The anchors of a feature map, sized and placed by this config."""
+        return generate_anchors(feature_shape, grid, dims=self.dims,
+                                z_center=self.z_center)
+
+
 def flatten_cls_map(cls_map: Tensor) -> Tensor:
     """(n_yaw, H, W) logits -> (A,) in generate_anchors order."""
     n_yaw, h, w = cls_map.data.shape
@@ -257,33 +279,3 @@ def nms_bev(boxes: Sequence[Box3D] | np.ndarray, scores,
         if all(_maybe_iou(boxes[i], boxes[k]) <= iou_threshold for k in kept):
             kept.append(int(i))
     return np.asarray(kept, dtype=np.int64)
-
-
-def write_detections(path, boxes: Sequence[Box3D], scores) -> None:
-    """One line per detection: cx cy cz l w h yaw score."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if len(boxes) != len(scores):
-        raise ValueError("boxes and scores must align")
-    lines = []
-    for box, score in zip(boxes, scores):
-        fields = list(box.as_array()) + [score]
-        lines.append(" ".join(repr(float(v)) for v in fields))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
-
-
-def read_detections(path) -> tuple[list[Box3D], np.ndarray]:
-    boxes: list[Box3D] = []
-    scores: list[float] = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            parts = raw.split()
-            if len(parts) != 8:
-                raise ValueError(f"{path}:{lineno}: expected 8 fields, got {len(parts)}")
-            values = [float(p) for p in parts]
-            boxes.append(Box3D.from_array(values[:7]))
-            scores.append(values[7])
-    return boxes, np.asarray(scores, dtype=np.float64)

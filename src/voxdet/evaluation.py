@@ -16,15 +16,15 @@ import numpy as np
 from .detection_head import (
     CONVENTION_PRINTED,
     NMS_IOU_DEFAULT,
+    AnchorConfig,
     decode_box,
     flatten_cls_map,
     flatten_reg_map,
-    generate_anchors,
     nms_bev,
 )
 from .geometry import Box3D, PointCloud, rotated_iou_3d, rotated_iou_bev
 from .engine import Tensor
-from .network import NetworkConfig, cfg_forward, pfe_forward
+from .network import ForwardOutput, NetworkConfig, cfg_forward, pfe_forward
 
 METRIC_BEV = "bev"
 METRIC_3D = "3d"
@@ -142,21 +142,20 @@ def distance_bucket(box: Box3D) -> str:
 
 # --- whole-dataset evaluation -------------------------------------------------
 
-def infer_detections(params: dict, cloud: PointCloud, net_config: NetworkConfig,
-                     anchors: np.ndarray | None = None,
-                     score_threshold: float = 0.1,
-                     nms_iou: float = NMS_IOU_DEFAULT,
-                     codec: str = CONVENTION_PRINTED):
-    """Run the detector on one scene; returns (boxes, scores) best-first.
+def run_branch(params: dict, cloud: PointCloud, net_config: NetworkConfig) -> ForwardOutput:
+    """Forward one scene through the branch the parameter set belongs to.
 
-    The branch is inferred from the parameter set: offset parameters mean
-    the deformable live branch, otherwise the rigid reference branch.
+    Offset parameters mean the deformable live branch, otherwise the rigid
+    reference branch.
     """
-    if anchors is None:
-        anchors = generate_anchors(net_config.bev_shape, net_config.grid)
     params = {k: v if isinstance(v, Tensor) else Tensor(v) for k, v in params.items()}
     forward = pfe_forward if "offsets.weight" in params else cfg_forward
-    out = forward(cloud, params, net_config)
+    return forward(cloud, params, net_config)
+
+
+def decode_detections(out: ForwardOutput, anchors: np.ndarray,
+                      score_threshold: float, nms_iou: float, codec: str):
+    """Score, decode and suppress one forward's anchors; (boxes, scores) best-first."""
     logits = flatten_cls_map(out.cls_map).data
     deltas = flatten_reg_map(out.reg_map).data
     scores = 1.0 / (1.0 + np.exp(-logits))
@@ -167,6 +166,18 @@ def infer_detections(params: dict, cloud: PointCloud, net_config: NetworkConfig,
     kept_scores = scores[keep]
     survivors = nms_bev(boxes, kept_scores, nms_iou)
     return [boxes[i] for i in survivors], kept_scores[survivors]
+
+
+def infer_detections(params: dict, cloud: PointCloud, net_config: NetworkConfig,
+                     anchors: np.ndarray | None = None,
+                     score_threshold: float = 0.1,
+                     nms_iou: float = NMS_IOU_DEFAULT,
+                     codec: str = CONVENTION_PRINTED):
+    """Run the detector on one scene; returns (boxes, scores) best-first."""
+    if anchors is None:
+        anchors = AnchorConfig().generate(net_config.bev_shape, net_config.grid)
+    return decode_detections(run_branch(params, cloud, net_config), anchors,
+                             score_threshold, nms_iou, codec)
 
 
 @dataclass(frozen=True)
@@ -221,12 +232,13 @@ def evaluate(params: dict, scenes: Sequence[tuple[PointCloud, Sequence[Box3D]]],
              net_config: NetworkConfig, iou_threshold: float = 0.7,
              interpolation: int = 40, metric: str = METRIC_BEV,
              score_threshold: float = 0.1, nms_iou: float = NMS_IOU_DEFAULT,
-             codec: str = CONVENTION_PRINTED, with_buckets: bool = True) -> EvalReport:
+             codec: str = CONVENTION_PRINTED, with_buckets: bool = True,
+             anchors: AnchorConfig = AnchorConfig()) -> EvalReport:
     """Detect on every scene and aggregate AP; deterministic end to end."""
-    anchors = generate_anchors(net_config.bev_shape, net_config.grid)
+    anchor_grid = anchors.generate(net_config.bev_shape, net_config.grid)
     per_scene = []
     for cloud, gts in scenes:
-        boxes, scores = infer_detections(params, cloud, net_config, anchors,
+        boxes, scores = infer_detections(params, cloud, net_config, anchor_grid,
                                          score_threshold, nms_iou, codec)
         per_scene.append((boxes, scores, list(gts)))
     return evaluate_detections(per_scene, iou_threshold, interpolation, metric,

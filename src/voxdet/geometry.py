@@ -1,9 +1,9 @@
 """Oriented-box and point-set geometry.
 
 Everything here is pure and stateless: BEV corner extraction, point-in-box
-tests, rotated IoU via convex polygon clipping, rigid transforms, and the
-directed average closest-point distance used to pair sparse objects with
-dense stand-in models.
+tests, rotated IoU via convex polygon clipping, and the directed average
+closest-point distance used to pair sparse objects with dense stand-in
+models.
 
 Conventions: sensor frame is x forward, y left, z up; yaw rotates about +z
 and is stored in [-pi, pi); boxes are parameterized by their geometric
@@ -111,18 +111,6 @@ class Box3D:
         return cls(cx, cy, cz, l, w, h, yaw)
 
 
-@dataclass(frozen=True)
-class Pose:
-    """Rigid transform in the sensor frame: yaw rotation then translation."""
-
-    rotation: float
-    translation: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rotation", normalize_angle(float(self.rotation)))
-        object.__setattr__(self, "translation", tuple(float(t) for t in self.translation))
-
-
 def box_corners_bev(box: Box3D) -> np.ndarray:
     """Counter-clockwise BEV corners of the yaw-rotated l-by-w rectangle.
 
@@ -139,7 +127,7 @@ def points_in_box(cloud: PointCloud, box: Box3D, slack: float = 1e-9) -> np.ndar
     """Indices of points inside the box, boundary-inclusive.
 
     `slack` absorbs rigid-transform roundoff so points sitting exactly on a
-    face stay inside after a round trip through a pose.
+    face stay inside after the box and its points are moved together.
     """
     if len(cloud) == 0:
         return np.zeros(0, dtype=np.int64)
@@ -272,15 +260,3 @@ def _directed_mean_closest(a: np.ndarray, b: np.ndarray) -> float:
         return float(np.sqrt((diff * diff).sum(axis=2)).min(axis=1).mean())
     grid = _HashGrid(b)
     return float(np.mean([grid.nearest_distance(p) for p in a]))
-
-
-def transform_points(cloud: PointCloud, pose: Pose) -> PointCloud:
-    """Rotate about +z then translate; intensity rides along unchanged."""
-    xyz = cloud.xyz @ rotation_z(pose.rotation).T + np.asarray(pose.translation)
-    return PointCloud.from_xyz(xyz, cloud.intensity.copy())
-
-
-def transform_box(box: Box3D, pose: Pose) -> Box3D:
-    """Apply a rigid pose to a box: center moves, yaw accumulates, dims fixed."""
-    center = box.center @ rotation_z(pose.rotation).T + np.asarray(pose.translation)
-    return Box3D(center[0], center[1], center[2], box.l, box.w, box.h, box.yaw + pose.rotation)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import Box3D, PointCloud, normalize_angle
+from .geometry import Box3D, PointCloud
 
 POINT_RECORD_BYTES = 16
 SCENE_POINTS_FILE = "points.bin"
@@ -232,14 +232,3 @@ def list_scene_dirs(root: str | os.PathLike) -> list[str]:
         if os.path.isdir(full) and os.path.isfile(os.path.join(full, SCENE_POINTS_FILE)):
             out.append(full)
     return out
-
-
-def float32_exact(value: float) -> float:
-    """Round a float through 32-bit storage so native-format writes are lossless."""
-    return float(np.float32(value))
-
-
-def normalize_yaws(boxes: list[Box3D]) -> list[Box3D]:
-    return [
-        Box3D(b.cx, b.cy, b.cz, b.l, b.w, b.h, normalize_angle(b.yaw)) for b in boxes
-    ]

@@ -163,8 +163,9 @@ def _backbone_bev(cloud: PointCloud, params: dict, config: NetworkConfig) -> Ten
         vox.features, params["embed.weight"], params["embed.bias"]))
     sp = SparseVoxelTensor(vox.coords, embedded, vox.spatial_shape)
     for i in range(4):
+        # a submanifold conv keeps its input sites, so sub0 and sub1 share one rulebook
+        rb = build_rulebook(sp.coords, sp.spatial_shape, 3, mode=SUBMANIFOLD)
         for j in (0, 1):
-            rb = build_rulebook(sp.coords, sp.spatial_shape, 3, mode=SUBMANIFOLD)
             sp = sparse_conv(sp, params[f"backbone.s{i}.sub{j}.weight"],
                              params[f"backbone.s{i}.sub{j}.bias"], rb)
             sp = SparseVoxelTensor(sp.coords, engine.relu(sp.features), sp.spatial_shape)

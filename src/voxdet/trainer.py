@@ -3,6 +3,8 @@
 Phase one fits the reference branch end-to-end on composed scenes.  Phase
 two freezes it and trains the live branch on paired (real, composed)
 scenes, adding the feature-association term to the detection losses.
+Both phases run one loop (shuffle, cosine schedule, batching, clipping,
+Adam, checkpoints) and differ only in their per-sample loss.
 Every random choice (shuffles, augmentation draws, init) derives from the
 run seed, so reruns are bit-identical.
 """
@@ -24,13 +26,13 @@ from .adaptation import (
 )
 from .detection_head import (
     CONVENTION_PRINTED,
+    AnchorConfig,
     assign_targets,
     associate_total_loss,
     cfg_total_loss,
     flatten_cls_map,
     flatten_reg_map,
     focal_loss,
-    generate_anchors,
     smooth_l1_loss,
 )
 from .engine import Tape, Tensor, save_checkpoint
@@ -198,8 +200,9 @@ def augment_pair(pair: ScenePair, seed) -> ScenePair:
 
 # --- training phases ---------------------------------------------------------
 
-def _detection_losses(out, boxes, anchors, codec):
-    assignment = assign_targets(anchors, list(boxes), convention=codec)
+def _detection_losses(out, boxes, anchor_grid, anchors: AnchorConfig, codec):
+    assignment = assign_targets(anchor_grid, list(boxes), pos_iou=anchors.positive_iou,
+                                neg_iou=anchors.negative_iou, convention=codec)
     cls = focal_loss(flatten_cls_map(out.cls_map), assignment.labels)
     bbox = smooth_l1_loss(flatten_reg_map(out.reg_map), assignment)
     return bbox, cls
@@ -226,111 +229,38 @@ def _maybe_checkpoint(params, directory, prefix, epoch, every):
     save_checkpoint(directory / f"{prefix}_epoch{epoch:04d}.ckpt", params)
 
 
-def train_cfg(scenes: Sequence[tuple[PointCloud, Sequence[Box3D]]],
-              net_config: NetworkConfig, train_config: TrainConfig,
-              checkpoint_dir=None) -> tuple[dict[str, Tensor], list[EpochStats]]:
-    """Fit the reference branch on composed scenes with the plain two-part loss."""
-    scenes = list(scenes)
-    if not scenes:
-        raise ValueError("dataset is empty")
-    params = init_params(net_config, seed=train_config.seed, with_offsets=False)
-    opt = Adam(params)
-    anchors = generate_anchors(net_config.bev_shape, net_config.grid)
-    batches_per_epoch = math.ceil(len(scenes) / train_config.batch_size)
-    total_steps = train_config.epochs * batches_per_epoch
+def _fit(samples, params: dict[str, Tensor], train_config: TrainConfig,
+         prepare, sample_loss, prefix: str, checkpoint_dir) -> list[EpochStats]:
+    """The epoch/batch loop both phases share; updates params in place.
 
-    log: list[EpochStats] = []
-    step = 0
-    for epoch in range(1, train_config.epochs + 1):
-        order = np.random.default_rng([train_config.seed, epoch]).permutation(len(scenes))
-        sums = np.zeros(3)  # bbox, cls, total
-        for batch in _batches(order, train_config.batch_size):
-            lr = cosine_lr(step, total_steps, train_config.base_lr)
-            with Tape() as tape:
-                batch_loss = None
-                for idx in batch:
-                    cloud, boxes = scenes[idx]
-                    if train_config.augment:
-                        rng = np.random.default_rng(
-                            [train_config.seed, _PHASE_CFG, epoch, int(idx)])
-                        cloud, boxes = apply_global_transform(
-                            cloud, boxes, *draw_transform(rng))
-                    out = cfg_forward(cloud, params, net_config)
-                    bbox, cls = _detection_losses(out, boxes, anchors,
-                                                  train_config.codec)
-                    total = cfg_total_loss(bbox, cls)
-                    _require_finite(epoch, step, bbox=bbox.item(), cls=cls.item())
-                    sums += (bbox.item(), cls.item(), total.item())
-                    batch_loss = total if batch_loss is None else engine.add(batch_loss, total)
-                batch_loss = engine.mul(batch_loss, Tensor(np.float64(1.0 / len(batch))))
-                tape.backward(batch_loss)
-            if train_config.clip_norm is not None:
-                clip_gradients(params, train_config.clip_norm)
-            opt.step(lr)
-            opt.zero_grad()
-            step += 1
-        means = sums / len(scenes)
-        log.append(EpochStats(epoch, means[0], means[1], 0.0, means[2]))
-        _maybe_checkpoint(params, checkpoint_dir, "cfg", epoch,
-                          train_config.checkpoint_every)
-    return params, log
-
-
-def train_associate(pairs: Sequence[ScenePair], cfg_params: dict[str, Tensor],
-                    net_config: NetworkConfig, train_config: TrainConfig,
-                    checkpoint_dir=None) -> tuple[dict[str, Tensor], list[EpochStats]]:
-    """Train the live branch against the frozen reference on scene pairs.
-
-    Per pair: the reference branch consumes the composed scene without
-    gradients; the live branch consumes the real scene; the total loss adds
-    the reweighted feature-association term with weight sigma.
+    prepare(sample, epoch, index) runs outside the tape for each sample of a
+    batch before the batch's first loss. sample_loss(prepared) runs on the
+    tape and returns (parts, total): parts maps "bbox", "cls" and, on the
+    live branch, "assoc" to loss tensors. A missing "assoc" logs as 0.
     """
-    pairs = list(pairs)
-    if not pairs:
+    samples = list(samples)
+    if not samples:
         raise ValueError("dataset is empty")
-    frozen = {name: Tensor(np.array(t.data, copy=True)) for name, t in cfg_params.items()}
-    validate_params(frozen, net_config, with_offsets=False)
-
-    params = init_params(net_config, seed=train_config.seed, with_offsets=True)
-    copy_shared_into(params, frozen)  # live trunk starts from reference weights
     opt = Adam(params)
-    anchors = generate_anchors(net_config.bev_shape, net_config.grid)
-    batches_per_epoch = math.ceil(len(pairs) / train_config.batch_size)
+    batches_per_epoch = math.ceil(len(samples) / train_config.batch_size)
     total_steps = train_config.epochs * batches_per_epoch
 
     log: list[EpochStats] = []
     step = 0
     for epoch in range(1, train_config.epochs + 1):
-        order = np.random.default_rng([train_config.seed, epoch]).permutation(len(pairs))
+        order = np.random.default_rng([train_config.seed, epoch]).permutation(len(samples))
         sums = np.zeros(4)  # bbox, cls, assoc, total
         for batch in _batches(order, train_config.batch_size):
             lr = cosine_lr(step, total_steps, train_config.base_lr)
-            staged = []
-            for idx in batch:
-                pair = pairs[idx]
-                if train_config.augment:
-                    pair = augment_pair(pair, [train_config.seed, _PHASE_PAIR,
-                                               epoch, int(idx)])
-                # reference features and foreground come from the composed
-                # scene, outside any tape
-                ref_out = cfg_forward(pair.conceptual, frozen, net_config)
-                fg = foreground_mask(pair.boxes, pair.conceptual, net_config.grid,
-                                     SPATIAL_DOWNSAMPLE)
-                staged.append((pair, ref_out, fg))
-
+            staged = [prepare(samples[idx], epoch, int(idx)) for idx in batch]
             with Tape() as tape:
                 batch_loss = None
-                for pair, ref_out, fg in staged:
-                    out = pfe_forward(pair.real, params, net_config)
-                    bbox, cls = _detection_losses(out, pair.boxes, anchors,
-                                                  train_config.codec)
-                    reweight = reweighting_map(offset_length_map(out.offsets), fg)
-                    assoc = association_loss(out.adapt_feature, ref_out.adapt_feature,
-                                             reweight, train_config.count_mode)
-                    total = associate_total_loss(bbox, cls, assoc, train_config.sigma)
-                    _require_finite(epoch, step, bbox=bbox.item(), cls=cls.item(),
-                                    assoc=assoc.item())
-                    sums += (bbox.item(), cls.item(), assoc.item(), total.item())
+                for item in staged:
+                    parts, total = sample_loss(item)
+                    values = {name: t.item() for name, t in parts.items()}
+                    _require_finite(epoch, step, **values)
+                    sums += (values["bbox"], values["cls"], values.get("assoc", 0.0),
+                             total.item())
                     batch_loss = total if batch_loss is None else engine.add(batch_loss, total)
                 batch_loss = engine.mul(batch_loss, Tensor(np.float64(1.0 / len(staged))))
                 tape.backward(batch_loss)
@@ -339,8 +269,73 @@ def train_associate(pairs: Sequence[ScenePair], cfg_params: dict[str, Tensor],
             opt.step(lr)
             opt.zero_grad()
             step += 1
-        means = sums / len(pairs)
-        log.append(EpochStats(epoch, means[0], means[1], means[2], means[3]))
-        _maybe_checkpoint(params, checkpoint_dir, "pfe", epoch,
+        log.append(EpochStats(epoch, *(sums / len(samples))))
+        _maybe_checkpoint(params, checkpoint_dir, prefix, epoch,
                           train_config.checkpoint_every)
+    return log
+
+
+def train_cfg(scenes: Sequence[tuple[PointCloud, Sequence[Box3D]]],
+              net_config: NetworkConfig, train_config: TrainConfig,
+              checkpoint_dir=None, anchors: AnchorConfig = AnchorConfig()
+              ) -> tuple[dict[str, Tensor], list[EpochStats]]:
+    """Fit the reference branch on composed scenes with the plain two-part loss."""
+    params = init_params(net_config, seed=train_config.seed, with_offsets=False)
+    anchor_grid = anchors.generate(net_config.bev_shape, net_config.grid)
+
+    def prepare(scene, epoch, idx):
+        cloud, boxes = scene
+        if train_config.augment:
+            rng = np.random.default_rng([train_config.seed, _PHASE_CFG, epoch, idx])
+            cloud, boxes = apply_global_transform(cloud, boxes, *draw_transform(rng))
+        return cloud, boxes
+
+    def sample_loss(scene):
+        cloud, boxes = scene
+        out = cfg_forward(cloud, params, net_config)
+        bbox, cls = _detection_losses(out, boxes, anchor_grid, anchors, train_config.codec)
+        return {"bbox": bbox, "cls": cls}, cfg_total_loss(bbox, cls)
+
+    log = _fit(scenes, params, train_config, prepare, sample_loss, "cfg", checkpoint_dir)
+    return params, log
+
+
+def train_associate(pairs: Sequence[ScenePair], cfg_params: dict[str, Tensor],
+                    net_config: NetworkConfig, train_config: TrainConfig,
+                    checkpoint_dir=None, anchors: AnchorConfig = AnchorConfig()
+                    ) -> tuple[dict[str, Tensor], list[EpochStats]]:
+    """Train the live branch against the frozen reference on scene pairs.
+
+    Per pair: the reference branch consumes the composed scene without
+    gradients; the live branch consumes the real scene; the total loss adds
+    the reweighted feature-association term with weight sigma.
+    """
+    frozen = {name: Tensor(np.array(t.data, copy=True)) for name, t in cfg_params.items()}
+    validate_params(frozen, net_config, with_offsets=False)
+
+    params = init_params(net_config, seed=train_config.seed, with_offsets=True)
+    copy_shared_into(params, frozen)  # live trunk starts from reference weights
+    anchor_grid = anchors.generate(net_config.bev_shape, net_config.grid)
+
+    def prepare(pair, epoch, idx):
+        if train_config.augment:
+            pair = augment_pair(pair, [train_config.seed, _PHASE_PAIR, epoch, idx])
+        # reference features and foreground come from the composed scene
+        ref_out = cfg_forward(pair.conceptual, frozen, net_config)
+        fg = foreground_mask(pair.boxes, pair.conceptual, net_config.grid,
+                             SPATIAL_DOWNSAMPLE)
+        return pair, ref_out, fg
+
+    def sample_loss(staged):
+        pair, ref_out, fg = staged
+        out = pfe_forward(pair.real, params, net_config)
+        bbox, cls = _detection_losses(out, pair.boxes, anchor_grid, anchors,
+                                      train_config.codec)
+        reweight = reweighting_map(offset_length_map(out.offsets), fg)
+        assoc = association_loss(out.adapt_feature, ref_out.adapt_feature,
+                                 reweight, train_config.count_mode)
+        total = associate_total_loss(bbox, cls, assoc, train_config.sigma)
+        return {"bbox": bbox, "cls": cls, "assoc": assoc}, total
+
+    log = _fit(pairs, params, train_config, prepare, sample_loss, "pfe", checkpoint_dir)
     return params, log

@@ -12,8 +12,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from voxdet import cli
+from voxdet import cli, evaluation, network, trainer
 from voxdet.config import (
+    AnchorConfig,
     DataPaths,
     default_run_config,
     load_config,
@@ -21,6 +22,7 @@ from voxdet.config import (
     mini_run_config,
     save_config,
 )
+from voxdet.detection_head import generate_anchors
 from voxdet.geometry import Box3D
 from voxdet.render import read_ppm
 
@@ -115,6 +117,37 @@ def test_train_without_reference_checkpoint_is_missing(pipeline, capsys):
     assert "reference checkpoint not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train-cfg", "train"])
+def test_training_assigns_targets_with_the_configured_anchors(pipeline, monkeypatch,
+                                                              command):
+    anchors = AnchorConfig(dims=(4.4, 1.9, 1.7), z_center=-0.6,
+                           positive_iou=0.5, negative_iou=0.3)
+    base = pipeline["cfg"]
+    cfg = replace(base, anchors=anchors,
+                  data=replace(base.data, out=str(pipeline["root"] / f"anchors_{command}")),
+                  train=replace(base.train, epochs=1))
+    path = pipeline["root"] / f"anchors_{command}.yaml"
+    save_config(path, cfg)
+    seen = []
+    assign = trainer.assign_targets
+
+    def spy(anchor_grid, gts, **kwargs):
+        seen.append((anchor_grid, kwargs))
+        return assign(anchor_grid, gts, **kwargs)
+
+    monkeypatch.setattr(trainer, "assign_targets", spy)
+    argv = [command, "--config", str(path)]
+    if command == "train":
+        argv += ["--cfg-checkpoint", str(pipeline["root"] / "runs" / "cfg.ckpt")]
+    assert cli.main(argv) == 0
+    want = generate_anchors(cfg.network.bev_shape, cfg.grid, dims=anchors.dims,
+                            z_center=anchors.z_center)
+    assert len(seen) == 3  # one assignment per scene of the single epoch
+    for anchor_grid, kwargs in seen:
+        np.testing.assert_array_equal(anchor_grid, want)
+        assert (kwargs["pos_iou"], kwargs["neg_iou"]) == (0.5, 0.3)
+
+
 def test_eval_writes_report(pipeline, capsys):
     assert cli.main(["eval", "--config", pipeline["cfg_path"]]) == 0
     out = capsys.readouterr().out
@@ -160,6 +193,25 @@ def test_render_bev_scene_out_of_range(pipeline, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_render_bev_runs_the_live_branch_once_per_scene(pipeline, monkeypatch,
+                                                         capsys):
+    calls = []
+    forward = network.pfe_forward
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return forward(*args, **kwargs)
+
+    for module in (network, evaluation):
+        monkeypatch.setattr(module, "pfe_forward", counting)
+    ckpt = str(pipeline["root"] / "runs" / "pfe.ckpt")
+    rc = cli.main(["render-bev", "--config", pipeline["cfg_path"], "--checkpoint", ckpt,
+                   "--out", str(pipeline["root"] / "render_once"), "--scale", "1"])
+    assert rc == 0
+    capsys.readouterr()
+    assert len(calls) == 3
+
+
 def test_seed_and_out_overrides_resolve():
     cfg = mini_run_config()
     path = "/tmp/voxdet_override_test.yaml"
@@ -167,12 +219,10 @@ def test_seed_and_out_overrides_resolve():
     try:
         ns = argparse.Namespace(config=path, seed=11, out="elsewhere")
         got = cli._resolve_config(ns)
-        assert got.seed == 11
         assert got.train.seed == 11
         assert got.data.out == "elsewhere"
         ns = argparse.Namespace(config=path, seed=None, out=None)
         got = cli._resolve_config(ns)
-        assert got.seed == cfg.seed
         assert got.data.out == cfg.data.out
     finally:
         os.remove(path)

@@ -37,7 +37,7 @@ def test_yaml_roundtrip_is_lossless():
 
 
 def test_roundtrip_preserves_non_default_values():
-    cfg = RunConfig(seed=17, grid=mini_grid(),
+    cfg = RunConfig(grid=mini_grid(),
                     train=TrainConfig(batch_size=2, epochs=3, sigma=0.25,
                                       clip_norm=None),
                     eval=EvalConfig(iou_threshold=0.5, interpolation=11))
@@ -79,8 +79,7 @@ def test_section_validation_still_fires_through_from_dict():
 
 
 def test_partial_config_fills_defaults():
-    cfg = from_dict({"seed": 3, "train": {"epochs": 2}})
-    assert cfg.seed == 3
+    cfg = from_dict({"train": {"epochs": 2}})
     assert cfg.train.epochs == 2
     assert cfg.train.batch_size == 6  # untouched default
     assert cfg.eval == EvalConfig()

@@ -21,9 +21,7 @@ from voxdet.detection_head import (
     focal_loss,
     generate_anchors,
     nms_bev,
-    read_detections,
     smooth_l1_loss,
-    write_detections,
 )
 from voxdet.engine import Tape, Tensor
 from voxdet.geometry import Box3D, rotated_iou_bev
@@ -377,25 +375,3 @@ def test_nms_matches_reference_on_random_boxes():
                        rng.uniform(-math.pi, math.pi)) for _ in range(20)]
         scores = rng.uniform(size=20)
         assert list(nms_bev(boxes, scores, thr)) == reference_nms(boxes, scores, thr)
-
-
-def test_detection_file_roundtrip(tmp_path):
-    rng = np.random.default_rng(9)
-    boxes = [random_box(rng) for _ in range(5)]
-    scores = rng.uniform(size=5)
-    path = tmp_path / "dets.txt"
-    write_detections(path, boxes, scores)
-    back_boxes, back_scores = read_detections(path)
-    for a, b in zip(boxes, back_boxes):
-        np.testing.assert_array_equal(a.as_array(), b.as_array())
-    np.testing.assert_array_equal(scores, back_scores)
-
-    write_detections(path, [], [])
-    assert read_detections(path) == ([], pytest.approx(np.array([])))
-
-
-def test_detection_file_rejects_bad_line(tmp_path):
-    path = tmp_path / "dets.txt"
-    path.write_text("1 2 3 4 5 6 7\n")
-    with pytest.raises(ValueError, match=":1:"):
-        read_detections(path)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from voxdet import evaluation
+from voxdet.detection_head import AnchorConfig, generate_anchors
 from voxdet.evaluation import (
     METRIC_3D,
     METRIC_BEV,
@@ -239,3 +241,25 @@ def test_infer_detections_schema_on_untrained_model():
                    iou_threshold=0.5, score_threshold=0.0)
     assert isinstance(rep, EvalReport)
     assert rep.n_scenes == 1
+
+
+def test_evaluate_detects_with_the_given_anchors(monkeypatch):
+    net = NetworkConfig(grid=mini_grid())
+    anchors = AnchorConfig(dims=(4.4, 1.9, 1.7), z_center=-0.6)
+    seen = []
+    infer = evaluation.infer_detections
+
+    def spy(params, cloud, net_config, anchor_grid, *rest):
+        seen.append(anchor_grid)
+        return infer(params, cloud, net_config, anchor_grid, *rest)
+
+    monkeypatch.setattr(evaluation, "infer_detections", spy)
+    rng = np.random.default_rng(4)
+    cloud = PointCloud(np.column_stack([
+        rng.uniform(10, 20, 30), rng.uniform(-5, 5, 30),
+        rng.uniform(-1.5, 0.5, 30), rng.uniform(0, 1, 30)]))
+    evaluate(init_params(net, seed=0), [(cloud, [box_at(15, 0)])], net, anchors=anchors)
+    want = generate_anchors(net.bev_shape, net.grid, dims=anchors.dims,
+                            z_center=anchors.z_center)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], want)

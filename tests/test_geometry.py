@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from voxdet.geometry import (
     Box3D,
     PointCloud,
-    Pose,
     avg_closest_point_distance,
     box_corners_bev,
     normalize_angle,
@@ -16,8 +15,6 @@ from voxdet.geometry import (
     polygon_area,
     rotated_iou_3d,
     rotated_iou_bev,
-    transform_box,
-    transform_points,
 )
 from oracles import brute_mean_closest, mc_iou_bev
 
@@ -206,54 +203,3 @@ def test_acpd_empty_raises():
         avg_closest_point_distance(a, b)
     with pytest.raises(ValueError):
         avg_closest_point_distance(b, a)
-
-
-def test_transform_points_oracle():
-    rng = np.random.default_rng(9)
-    cloud = PointCloud(np.column_stack([rng.uniform(-5, 5, (100, 3)), rng.uniform(0, 1, 100)]))
-    pose = Pose(math.pi / 4, (1.0, -2.0, 0.5))
-    out = transform_points(cloud, pose)
-    c, s = math.cos(pose.rotation), math.sin(pose.rotation)
-    for i in range(len(cloud)):
-        x, y, z = cloud.xyz[i]
-        ex = c * x - s * y + 1.0
-        ey = s * x + c * y - 2.0
-        ez = z + 0.5
-        np.testing.assert_allclose(out.xyz[i], [ex, ey, ez], atol=1e-12)
-    np.testing.assert_array_equal(out.intensity, cloud.intensity)
-
-
-def test_transform_roundtrip():
-    rng = np.random.default_rng(10)
-    cloud = PointCloud.from_xyz(rng.uniform(-5, 5, (50, 3)))
-    pose = Pose(0.8, (2.0, 3.0, -1.0))
-    fwd = transform_points(cloud, pose)
-    c, s = math.cos(-pose.rotation), math.sin(-pose.rotation)
-    t = np.array(pose.translation)
-    inv_t = -(np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]]) @ t)
-    back = transform_points(fwd, Pose(-pose.rotation, tuple(inv_t)))
-    np.testing.assert_allclose(back.xyz, cloud.xyz, atol=1e-12)
-
-
-def test_transform_box_consistent_with_points():
-    # transforming a box's corner points equals the corners of the transformed box
-    b = Box3D(1.0, 2.0, -0.5, 3.0, 1.5, 1.2, 0.4)
-    pose = Pose(1.1, (0.5, -1.5, 2.0))
-    moved = transform_box(b, pose)
-    corners_before = box_corners_bev(b)
-    pts = PointCloud.from_xyz(np.column_stack([corners_before, np.zeros(4)]))
-    corners_via_points = transform_points(pts, pose).xyz[:, :2]
-    np.testing.assert_allclose(box_corners_bev(moved), corners_via_points, atol=1e-12)
-
-
-def test_points_in_box_survives_roundtrip():
-    # a point exactly on a face must stay inside after pose roundtrip (slack)
-    b = Box3D(0, 0, 0, 2.0, 2.0, 2.0, 0.3)
-    corner_local = np.array([1.0, 1.0, 1.0])
-    c, s = math.cos(b.yaw), math.sin(b.yaw)
-    world = np.array([c * 1.0 - s * 1.0, s * 1.0 + c * 1.0, 1.0])
-    pose = Pose(0.7, (3.0, -2.0, 1.0))
-    moved_box = transform_box(b, pose)
-    moved_pt = transform_points(PointCloud.from_xyz(world[None]), pose)
-    assert points_in_box(moved_pt, moved_box).tolist() == [0]
-    assert corner_local is not None

@@ -4,6 +4,7 @@ import pytest
 from voxdet import engine
 from voxdet.engine import Tape, Tensor
 from voxdet.geometry import PointCloud
+from voxdet import network
 from voxdet.network import (
     ForwardOutput,
     NetworkConfig,
@@ -14,6 +15,7 @@ from voxdet.network import (
     pfe_forward,
     validate_params,
 )
+from voxdet.sparse_conv import STRIDED, SUBMANIFOLD
 from voxdet.voxelizer import GridConfig, default_grid, mini_grid
 
 
@@ -189,3 +191,19 @@ def test_gradients_reach_the_trunk():
         grad = params[name].grad
         assert grad is not None and np.isfinite(grad).all(), name
         assert np.abs(grad).sum() > 0, name
+
+
+def test_backbone_builds_one_submanifold_rulebook_per_stage(monkeypatch):
+    # sub0 and sub1 of a stage run on the same sites and share one rulebook;
+    # the strided conv closing the stage needs its own
+    modes = []
+    build = network.build_rulebook
+
+    def counting(*args, **kwargs):
+        modes.append(kwargs["mode"])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(network, "build_rulebook", counting)
+    cfg = mini_config()
+    pfe_forward(sample_cloud(seed=3), init_params(cfg, seed=0), cfg)
+    assert modes == [SUBMANIFOLD, STRIDED] * 4

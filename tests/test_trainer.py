@@ -127,6 +127,19 @@ def test_transform_preserves_containment():
         np.testing.assert_array_equal(before, after)
 
 
+def test_transform_keeps_corner_points_inside():
+    # rotating a point that sits exactly on a corner leaves it a few ulps
+    # outside; points_in_box's slack must keep it in
+    b = Box3D(0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 0.3)
+    c, s = math.cos(b.yaw), math.sin(b.yaw)
+    corners = PointCloud.from_xyz(np.array([[c - s, s + c, 1.0], [c + s, s - c, -1.0],
+                                            [s - c, -s - c, 1.0]]))
+    for angle in (-0.7, 0.2, 0.75):
+        for scale, flip in ((1.0, False), (1.03, True)):
+            out_cloud, out_boxes = apply_global_transform(corners, [b], angle, scale, flip)
+            assert points_in_box(out_cloud, out_boxes[0]).tolist() == [0, 1, 2]
+
+
 def test_augment_pair_shares_one_draw():
     cloud, boxes = scene_fixture(seed=4)
     pair = ScenePair(cloud, cloud, tuple(boxes))
