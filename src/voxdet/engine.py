@@ -14,6 +14,7 @@ throughout so finite-difference checks can run tight tolerances.
 
 from __future__ import annotations
 
+import os
 import struct
 import threading
 from typing import Callable, Sequence
@@ -510,44 +511,57 @@ _CKPT_VERSION = 1
 
 
 def save_checkpoint(path, params: dict[str, Tensor | np.ndarray]) -> None:
-    """Write named float64 arrays with a version header; byte-stable ordering."""
-    with open(path, "wb") as f:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<II", _CKPT_VERSION, len(params)))
-        for name in sorted(params):
-            arr = params[name]
-            data = arr.data if isinstance(arr, Tensor) else np.asarray(arr, dtype=np.float64)
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<B", data.ndim))
-            f.write(struct.pack(f"<{data.ndim}q", *data.shape))
-            f.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
+    """Write named float64 arrays with a version header; byte-stable ordering.
+
+    The bytes go to a temporary file beside `path` that then replaces it,
+    so a write that fails midway leaves the previous checkpoint intact.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_CKPT_MAGIC)
+            f.write(struct.pack("<II", _CKPT_VERSION, len(params)))
+            for name in sorted(params):
+                arr = params[name]
+                data = arr.data if isinstance(arr, Tensor) else np.asarray(arr, dtype=np.float64)
+                encoded = name.encode("utf-8")
+                f.write(struct.pack("<H", len(encoded)))
+                f.write(encoded)
+                f.write(struct.pack("<B", data.ndim))
+                f.write(struct.pack(f"<{data.ndim}q", *data.shape))
+                f.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as f:
-        raw = f.read()
+        raw = memoryview(f.read())
     if raw[:4] != _CKPT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
-    version, count = struct.unpack_from("<II", raw, 4)
+    pos = 4
+
+    def take(n: int) -> memoryview:
+        nonlocal pos
+        if pos + n > len(raw):
+            raise ValueError(f"{path}: truncated checkpoint")
+        pos += n
+        return raw[pos - n:pos]
+
+    version, count = struct.unpack("<II", take(8))
     if version != _CKPT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    pos = 12
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", raw, pos)
-        pos += 2
-        name = raw[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        (ndim,) = struct.unpack_from("<B", raw, pos)
-        pos += 1
-        shape = struct.unpack_from(f"<{ndim}q", raw, pos)
-        pos += 8 * ndim
+        (name_len,) = struct.unpack("<H", take(2))
+        name = bytes(take(name_len)).decode("utf-8")
+        (ndim,) = struct.unpack("<B", take(1))
+        shape = struct.unpack(f"<{ndim}q", take(8 * ndim))
         n = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=n, offset=pos).reshape(shape)
-        pos += 8 * n
-        out[name] = arr.astype(np.float64)
+        out[name] = np.frombuffer(take(8 * n), dtype="<f8").reshape(shape).astype(np.float64)
     if pos != len(raw):
         raise ValueError(f"{path}: {len(raw) - pos} trailing bytes")
     return out

@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: double loops, Monte Carlo sampling,
 dense arrays. Slow but obviously correct, so the fast code in the package
-can be validated against it.
+can be validated against it. The dense conv3d and Monte-Carlo IoU oracles
+live in `voxdet.verify`, which `voxdet selftest` runs too, and are
+re-exported here.
 """
 
 from __future__ import annotations
@@ -11,44 +13,7 @@ import math
 
 import numpy as np
 
-from voxdet.geometry import Box3D
-
-
-def mc_iou_bev(a: Box3D, b: Box3D, n_samples: int, seed: int) -> float:
-    """Monte Carlo BEV IoU: sample the bounding rectangle of both boxes."""
-    rng = np.random.default_rng(seed)
-    ca = _corners_bev(a)
-    cb = _corners_bev(b)
-    allc = np.vstack([ca, cb])
-    lo = allc.min(axis=0)
-    hi = allc.max(axis=0)
-    pts = rng.uniform(lo, hi, size=(n_samples, 2))
-    in_a = _in_rect_bev(pts, a)
-    in_b = _in_rect_bev(pts, b)
-    area = float(np.prod(hi - lo))
-    inter = in_a & in_b
-    union = in_a | in_b
-    u = union.mean() * area
-    if u == 0.0:
-        return 0.0
-    return float(inter.mean() * area / u)
-
-
-def _corners_bev(box: Box3D) -> np.ndarray:
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    r = np.array([[c, -s], [s, c]])
-    half = np.array([[box.l / 2, box.w / 2], [-box.l / 2, box.w / 2],
-                     [-box.l / 2, -box.w / 2], [box.l / 2, -box.w / 2]])
-    return half @ r.T + np.array([box.cx, box.cy])
-
-
-def _in_rect_bev(pts: np.ndarray, box: Box3D) -> np.ndarray:
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    dx = pts[:, 0] - box.cx
-    dy = pts[:, 1] - box.cy
-    lx = c * dx + s * dy
-    ly = -s * dx + c * dy
-    return (np.abs(lx) <= box.l / 2) & (np.abs(ly) <= box.w / 2)
+from voxdet.verify import dense_conv3d, mc_iou_bev  # noqa: F401  (re-exported)
 
 
 def brute_mean_closest(a: np.ndarray, b: np.ndarray) -> float:
@@ -80,31 +45,6 @@ def dense_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
             for j in range(wo):
                 patch = xp[:, i * stride:i * stride + kh, j * stride:j * stride + kw]
                 out[co, i, j] = float((patch * w[co]).sum())
-        if b is not None:
-            out[co] += b[co]
-    return out
-
-
-def dense_conv3d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
-                 stride: tuple[int, int, int], padding: tuple[int, int, int]) -> np.ndarray:
-    """Naive dense 3D convolution on a (C, D0, D1, D2) volume."""
-    c_in, d0, d1, d2 = x.shape
-    c_out, c_in2, k0, k1, k2 = w.shape
-    assert c_in == c_in2
-    p0, p1, p2 = padding
-    s0, s1, s2 = stride
-    xp = np.zeros((c_in, d0 + 2 * p0, d1 + 2 * p1, d2 + 2 * p2))
-    xp[:, p0:p0 + d0, p1:p1 + d1, p2:p2 + d2] = x
-    o0 = (d0 + 2 * p0 - k0) // s0 + 1
-    o1 = (d1 + 2 * p1 - k1) // s1 + 1
-    o2 = (d2 + 2 * p2 - k2) // s2 + 1
-    out = np.zeros((c_out, o0, o1, o2))
-    for co in range(c_out):
-        for i in range(o0):
-            for j in range(o1):
-                for k in range(o2):
-                    patch = xp[:, i * s0:i * s0 + k0, j * s1:j * s1 + k1, k * s2:k * s2 + k2]
-                    out[co, i, j, k] = float((patch * w[co]).sum())
         if b is not None:
             out[co] += b[co]
     return out

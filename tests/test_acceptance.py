@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from voxdet import cli, engine
+from voxdet import engine, verify
 from voxdet.adaptation import ReweightingMap, association_loss, offset_length_map, reweighting_map
 from voxdet.conceptual import (
     bin_index,
@@ -148,7 +148,7 @@ def smoothing_run():
 
 def test_sparse_conv_agrees_with_dense_reference():
     t0 = time.perf_counter()
-    worst = cli.run_sparse_oracle(n_cases=200, seed=0)
+    worst = verify.run_sparse_oracle(n_cases=200, seed=0)
     elapsed = time.perf_counter() - t0
     assert worst < 1e-12
     assert elapsed < 60.0
@@ -158,7 +158,7 @@ def test_sparse_conv_agrees_with_dense_reference():
 
 def test_gradient_suite_matches_finite_differences():
     t0 = time.perf_counter()
-    errs = cli.run_gradient_suite(seed=0)
+    errs = verify.run_gradient_suite(seed=0)
     elapsed = time.perf_counter() - t0
     assert sorted(errs) == sorted(GRAD_OPS)
     for name in GRAD_OPS:
@@ -170,7 +170,7 @@ def test_gradient_suite_matches_finite_differences():
 
 
 def test_box_codec_roundtrips_both_conventions():
-    worst = cli.run_codec_roundtrip(10000)
+    worst = verify.run_codec_roundtrip(10000)
     assert worst < 1e-9
     print(f"PASS codec roundtrip: 10000 pairs x 2 conventions, "
           f"max field err {worst:.3e}")
@@ -293,7 +293,7 @@ def test_rotated_iou_agrees_with_monte_carlo():
         w2, l2 = rng.uniform(1.5, 4.0, size=2)
         b = Box3D(cx + dx, cy + dy, 0.0, l2, w2, 1.5,
                   rng.uniform(-np.pi, np.pi))
-        dev = abs(rotated_iou_bev(a, b) - cli.mc_iou_bev(a, b, 1_000_000, seed=i))
+        dev = abs(rotated_iou_bev(a, b) - verify.mc_iou_bev(a, b, 1_000_000, seed=i))
         worst = max(worst, dev)
         assert dev < 1e-2
     print(f"PASS rotated IoU: fixtures exact, 1000 pairs vs 1e6-sample MC, "

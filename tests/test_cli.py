@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from voxdet import cli, evaluation, network, trainer
+from voxdet import cli, evaluation, network, trainer, verify
 from voxdet.config import (
     AnchorConfig,
     DataPaths,
@@ -174,6 +174,15 @@ def test_eval_out_override(pipeline):
     assert (other / "eval_real.txt").is_file()
 
 
+def test_eval_truncated_checkpoint_exits_4(pipeline, tmp_path, capsys):
+    raw = (pipeline["root"] / "runs" / "pfe.ckpt").read_bytes()
+    partial = tmp_path / "partial.ckpt"
+    partial.write_bytes(raw[:40])
+    rc = cli.main(["eval", "--config", pipeline["cfg_path"], "--checkpoint", str(partial)])
+    assert rc == 4
+    assert "truncated checkpoint" in capsys.readouterr().err
+
+
 def test_render_bev(pipeline, capsys):
     ckpt = str(pipeline["root"] / "runs" / "pfe.ckpt")
     rc = cli.main(["render-bev", "--config", pipeline["cfg_path"],
@@ -292,13 +301,31 @@ def test_thread_env_propagates_to_blas_pools(monkeypatch):
     assert os.environ["OMP_NUM_THREADS"] == "5"
 
 
+def _child_env(*paths) -> dict:
+    """The environment of a child interpreter that must import this voxdet."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    pythonpath = [*paths, src, os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in pythonpath if p))
+
+
 def test_thread_env_rejected_in_subprocess():
-    env = dict(os.environ, VOXDET_THREADS="abc")
+    env = dict(_child_env(), VOXDET_THREADS="abc")
     proc = subprocess.run(
         [sys.executable, "-m", "voxdet.cli", "--dump-defaults"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 4
     assert "VOXDET_THREADS" in proc.stderr
+
+
+def test_benchmark_hooks_find_every_traced_name():
+    # perfbench wraps voxdet functions by module and name; a rename or
+    # deletion in src must fail here rather than in a traced benchmark run
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import tracing; tracing.instrument(tracing.Tracer())"],
+        capture_output=True, text=True, env=_child_env(perfbench))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_gradcheck_command(capsys):
@@ -317,18 +344,18 @@ def test_selftest_command(capsys):
 
 
 def test_sparse_oracle_helper_tight():
-    assert cli.run_sparse_oracle(n_cases=10, seed=3) < 1e-12
+    assert verify.run_sparse_oracle(n_cases=10, seed=3) < 1e-12
 
 
 def test_codec_roundtrip_helper_tight():
-    assert cli.run_codec_roundtrip(300) < 1e-9
+    assert verify.run_codec_roundtrip(300) < 1e-9
 
 
 def test_mc_iou_estimator():
     a = Box3D(0.0, 0.0, 0.0, 2.0, 2.0, 1.0, 0.0)
-    assert cli.mc_iou_bev(a, a, 50_000, seed=0) == 1.0
+    assert verify.mc_iou_bev(a, a, 50_000, seed=0) == 1.0
     b = Box3D(10.0, 0.0, 0.0, 2.0, 2.0, 1.0, 0.0)
-    assert cli.mc_iou_bev(a, b, 50_000, seed=0) == 0.0
+    assert verify.mc_iou_bev(a, b, 50_000, seed=0) == 0.0
     c = Box3D(1.0, 0.0, 0.0, 2.0, 2.0, 1.0, 0.0)
-    est = cli.mc_iou_bev(a, c, 400_000, seed=0)
+    est = verify.mc_iou_bev(a, c, 400_000, seed=0)
     assert est == pytest.approx(1.0 / 3.0, abs=2e-2)

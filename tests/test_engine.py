@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -368,3 +369,25 @@ def test_checkpoint_rejects_garbage(tmp_path):
     p.write_bytes(good.read_bytes() + b"\x00")
     with pytest.raises(ValueError, match="trailing"):
         load_checkpoint(p)
+
+
+def test_checkpoint_every_truncation_is_a_value_error(tmp_path):
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(good, {"a.weight": np.ones((2, 3)), "b": np.array(2.0)})
+    raw = good.read_bytes()
+    p = tmp_path / "cut.ckpt"
+    for n in range(len(raw)):
+        p.write_bytes(raw[:n])
+        with pytest.raises(ValueError, match="truncated" if n >= 4 else "not a checkpoint"):
+            load_checkpoint(p)
+
+
+def test_checkpoint_write_failing_midway_keeps_previous(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"a": np.ones(3)})
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        # sorted names: "a" is written before "b" fails to convert
+        save_checkpoint(path, {"a": np.zeros(3), "b": "not a number"})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.ckpt"]

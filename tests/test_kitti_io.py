@@ -1,4 +1,3 @@
-import math
 import struct
 
 import numpy as np
@@ -6,13 +5,7 @@ import pytest
 
 from voxdet.geometry import Box3D, PointCloud
 from voxdet.kitti_io import (
-    Calibration,
-    CameraBox,
-    camera_box_to_lidar,
-    lidar_box_to_camera,
     list_scene_dirs,
-    read_calibration,
-    read_labels,
     read_point_cloud,
     read_scene_boxes,
     read_scene_dir,
@@ -75,184 +68,6 @@ def test_point_roundtrip_bit_exact(tmp_path):
     write_point_cloud(p, cloud)
     back = read_point_cloud(p)
     assert np.array_equal(back.data, cloud.data)
-
-
-def test_calibration_rejects_skewed_rectification():
-    bad = np.eye(3)
-    bad[0, 1] = 0.05
-    with pytest.raises(ValueError, match="orthonormal"):
-        Calibration(P2=np.zeros((3, 4)), R0_rect=bad,
-                    Tr_velo_to_cam=Calibration.identity_permutation().Tr_velo_to_cam)
-
-
-def test_camera_box_identity_permutation_center():
-    calib = Calibration.identity_permutation()
-    # x_cam=-y_s, y_cam=-z_s, z_cam=x_s, so cam (2, 1.5, 10) -> sensor (10, -2, -1.5)
-    box = camera_box_to_lidar(CameraBox(2.0, 1.5, 10.0, h=1.5, w=1.6, l=3.9, rotation_y=0.0), calib)
-    assert box.cx == pytest.approx(10.0)
-    assert box.cy == pytest.approx(-2.0)
-    assert box.cz == pytest.approx(-1.5 + 1.5 / 2)  # bottom center lifted by h/2
-    assert (box.l, box.w, box.h) == (3.9, 1.6, 1.5)
-
-
-def test_camera_yaw_convention_anchor():
-    calib = Calibration.identity_permutation()
-    b0 = camera_box_to_lidar(CameraBox(0, 0, 10, 1.5, 1.6, 3.9, rotation_y=0.0), calib)
-    assert b0.yaw == pytest.approx(-math.pi / 2)
-    b1 = camera_box_to_lidar(CameraBox(0, 0, 10, 1.5, 1.6, 3.9, rotation_y=-math.pi / 2), calib)
-    assert b1.yaw == pytest.approx(0.0, abs=1e-12)
-
-
-def _fixture_calib() -> Calibration:
-    # a mildly rotated, translated sensor-to-camera chain; exactly orthonormal
-    # rotations chosen to keep the camera's down axis aligned with sensor -z,
-    # matching how KITTI rigs are mounted
-    def rz(a):
-        c, s = math.cos(a), math.sin(a)
-        return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]])
-
-    def ry(a):
-        c, s = math.cos(a), math.sin(a)
-        return np.array([[c, 0, s], [0, 1.0, 0], [-s, 0, c]])
-
-    r0 = ry(0.01)
-    perm = np.array([[0.0, -1.0, 0.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
-    r_tr = perm @ rz(0.02)
-    t_tr = np.array([0.27, -0.08, -0.9])
-    return Calibration(P2=np.hstack([np.eye(3), np.zeros((3, 1))]),
-                       R0_rect=r0, Tr_velo_to_cam=np.column_stack([r_tr, t_tr]))
-
-
-def _corner_oracle(cam: CameraBox, calib: Calibration):
-    """Independent conversion: push all 8 camera-frame corners through a 4x4 inverse."""
-    ry = cam.rotation_y
-    r_y = np.array([[math.cos(ry), 0, math.sin(ry)], [0, 1, 0], [-math.sin(ry), 0, math.cos(ry)]])
-    corners = []
-    for sx in (0.5, -0.5):
-        for sy in (0.0, -1.0):
-            for sz in (0.5, -0.5):
-                local = np.array([sx * cam.l, sy * cam.h, sz * cam.w])
-                corners.append(np.array([cam.x, cam.y, cam.z]) + r_y @ local)
-    t = np.eye(4)
-    t[:3, :3] = calib.R0_rect @ calib.Tr_velo_to_cam[:, :3]
-    t[:3, 3] = calib.R0_rect @ calib.Tr_velo_to_cam[:, 3]
-    inv = np.linalg.inv(t)
-    velo = np.array([(inv @ np.append(c, 1.0))[:3] for c in corners])
-    center = velo.mean(axis=0)
-    heading = inv[:3, :3] @ (r_y @ np.array([1.0, 0, 0]))
-    yaw = math.atan2(heading[1], heading[0])
-    return center, yaw
-
-
-def test_camera_box_fixture_corner_oracle():
-    calib = _fixture_calib()
-    rng = np.random.default_rng(42)
-    for _ in range(25):
-        cam = CameraBox(
-            x=float(rng.uniform(-10, 10)), y=float(rng.uniform(0, 3)), z=float(rng.uniform(5, 40)),
-            h=float(rng.uniform(1.2, 2.0)), w=float(rng.uniform(1.4, 1.9)), l=float(rng.uniform(3, 5)),
-            rotation_y=float(rng.uniform(-math.pi, math.pi)),
-        )
-        box = camera_box_to_lidar(cam, calib)
-        center, yaw = _corner_oracle(cam, calib)
-        np.testing.assert_allclose(box.center, center, atol=1e-9)
-        assert math.isclose(math.sin(box.yaw), math.sin(yaw), abs_tol=1e-9)
-        assert math.isclose(math.cos(box.yaw), math.cos(yaw), abs_tol=1e-9)
-
-
-def test_camera_lidar_roundtrip():
-    calib = _fixture_calib()
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        cam = CameraBox(
-            x=float(rng.uniform(-10, 10)), y=float(rng.uniform(0, 3)), z=float(rng.uniform(5, 40)),
-            h=float(rng.uniform(1.2, 2.0)), w=float(rng.uniform(1.4, 1.9)), l=float(rng.uniform(3, 5)),
-            rotation_y=float(rng.uniform(-math.pi + 0.01, math.pi - 0.01)),
-        )
-        back = lidar_box_to_camera(camera_box_to_lidar(cam, calib), calib)
-        for field in ("x", "y", "z", "h", "w", "l", "rotation_y"):
-            assert getattr(back, field) == pytest.approx(getattr(cam, field), abs=1e-9), field
-
-
-def _label_line(name, h, w, l, x, y, z, ry):
-    return f"{name} 0.00 0 -1.5 100 100 200 200 {h} {w} {l} {x} {y} {z} {ry}"
-
-
-def test_read_labels_field_mapping(tmp_path):
-    calib = Calibration.identity_permutation()
-    p = tmp_path / "label.txt"
-    p.write_text(_label_line("Car", 1.5, 1.6, 3.9, 2.0, 1.5, 10.0, 0.1) + "\n")
-    anns = read_labels(p, calib)
-    assert len(anns) == 1
-    a = anns[0]
-    assert a.class_name == "Car"
-    assert not a.ignore
-    assert (a.box.l, a.box.w, a.box.h) == (3.9, 1.6, 1.5)
-
-
-def test_read_labels_dontcare_flag(tmp_path):
-    calib = Calibration.identity_permutation()
-    p = tmp_path / "label.txt"
-    p.write_text(
-        "DontCare -1 -1 -10 500 160 540 180 -1 -1 -1 -1000 -1000 -1000 -10\n"
-        + _label_line("Car", 1.5, 1.6, 3.9, 0.0, 1.0, 20.0, 0.0) + "\n"
-    )
-    anns = read_labels(p, calib)
-    assert [a.ignore for a in anns] == [True, False]
-    assert anns[0].class_name == "DontCare"
-
-
-def test_read_labels_two_car_fixture_matrix_oracle(tmp_path):
-    calib = _fixture_calib()
-    p = tmp_path / "label.txt"
-    p.write_text(
-        _label_line("Car", 1.5, 1.6, 3.9, 2.0, 1.5, 10.0, 0.3) + "\n"
-        + _label_line("Car", 1.4, 1.7, 4.1, -3.0, 1.4, 15.0, -1.1) + "\n"
-    )
-    anns = read_labels(p, calib)
-    assert len(anns) == 2
-    t = np.eye(4)
-    t[:3, :3] = calib.R0_rect @ calib.Tr_velo_to_cam[:, :3]
-    t[:3, 3] = calib.R0_rect @ calib.Tr_velo_to_cam[:, 3]
-    inv = np.linalg.inv(t)
-    for ann, (x, y, z, h) in zip(anns, [(2.0, 1.5, 10.0, 1.5), (-3.0, 1.4, 15.0, 1.4)]):
-        bottom = (inv @ np.array([x, y, z, 1.0]))[:3]
-        expected = bottom + [0, 0, h / 2]
-        np.testing.assert_allclose(ann.box.center, expected, atol=1e-9)
-
-
-def test_read_labels_malformed_line_number(tmp_path):
-    calib = Calibration.identity_permutation()
-    p = tmp_path / "label.txt"
-    p.write_text(
-        _label_line("Car", 1.5, 1.6, 3.9, 0.0, 1.0, 20.0, 0.0) + "\n"
-        + "Car 0.0 0 banana\n"
-    )
-    with pytest.raises(ValueError, match=":2:"):
-        read_labels(p, calib)
-    p2 = tmp_path / "label2.txt"
-    p2.write_text("Car 0.0 0 -1.5 1 2 3 4 1.5 1.6 notanumber 0 1 20 0\n")
-    with pytest.raises(ValueError, match=":1:"):
-        read_labels(p2, calib)
-
-
-def test_read_calibration_file(tmp_path):
-    calib = _fixture_calib()
-    p = tmp_path / "calib.txt"
-    lines = [
-        "P2: " + " ".join(repr(float(v)) for v in calib.P2.ravel()),
-        "R0_rect: " + " ".join(repr(float(v)) for v in calib.R0_rect.ravel()),
-        "Tr_velo_to_cam: " + " ".join(repr(float(v)) for v in calib.Tr_velo_to_cam.ravel()),
-    ]
-    p.write_text("\n".join(lines) + "\n")
-    got = read_calibration(p)
-    np.testing.assert_array_equal(got.R0_rect, calib.R0_rect)
-    np.testing.assert_array_equal(got.Tr_velo_to_cam, calib.Tr_velo_to_cam)
-
-    p_bad = tmp_path / "calib_bad.txt"
-    p_bad.write_text("P2: " + " ".join("0" for _ in range(12)) + "\n")
-    with pytest.raises(ValueError, match="missing"):
-        read_calibration(p_bad)
 
 
 def test_scene_dir_roundtrip(tmp_path):
