@@ -99,7 +99,7 @@ def _cmd_build_conceptual(args) -> int:
         fallbacks = sum(1 for m in matches if not math.isfinite(m.distance))
         lines.append(f"{name} {len(matches)} {fallbacks} {mean_d!r}")
     report = "\n".join(lines) + "\n"
-    with open(os.path.join(cfg.data.conceptual, "report.txt"), "w") as fh:
+    with engine.atomic_write(os.path.join(cfg.data.conceptual, "report.txt")) as fh:
         fh.write(report)
     print(report, end="")
     return EXIT_OK
@@ -114,7 +114,7 @@ def _cmd_train_cfg(args) -> int:
                             if cfg.train.checkpoint_every else None,
                             anchors=cfg.anchors)
     engine.save_checkpoint(os.path.join(cfg.data.out, "cfg.ckpt"), params)
-    with open(os.path.join(cfg.data.out, "cfg_log.txt"), "w") as fh:
+    with engine.atomic_write(os.path.join(cfg.data.out, "cfg_log.txt")) as fh:
         fh.write(format_loss_log(log))
     last = log[-1]
     print(f"trained reference branch: {len(log)} epochs, "
@@ -147,7 +147,7 @@ def _cmd_train(args) -> int:
                                   if cfg.train.checkpoint_every else None,
                                   anchors=cfg.anchors)
     engine.save_checkpoint(os.path.join(cfg.data.out, "pfe.ckpt"), params)
-    with open(os.path.join(cfg.data.out, "train_log.txt"), "w") as fh:
+    with engine.atomic_write(os.path.join(cfg.data.out, "train_log.txt")) as fh:
         fh.write(format_loss_log(log))
     last = log[-1]
     print(f"trained live branch: {len(log)} epochs, "
@@ -169,7 +169,7 @@ def _cmd_eval(args) -> int:
                       anchors=cfg.anchors)
     text = format_report(report)
     os.makedirs(cfg.data.out, exist_ok=True)
-    with open(os.path.join(cfg.data.out, f"eval_{args.dataset}.txt"), "w") as fh:
+    with engine.atomic_write(os.path.join(cfg.data.out, f"eval_{args.dataset}.txt")) as fh:
         fh.write(text)
     print(text, end="")
     return EXIT_OK

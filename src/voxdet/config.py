@@ -51,6 +51,12 @@ class EvalConfig:
             raise ValueError("interpolation must be 11 or 40")
         if self.metric not in (METRIC_BEV, METRIC_3D):
             raise ValueError(f"metric must be '{METRIC_BEV}' or '{METRIC_3D}'")
+        if not (0.0 < self.iou_threshold <= 1.0):
+            raise ValueError("iou_threshold must be in (0, 1]")
+        if not (0.0 <= self.score_threshold <= 1.0):
+            raise ValueError("score_threshold must be in [0, 1]")
+        if not (0.0 <= self.nms_iou <= 1.0):
+            raise ValueError("nms_iou must be in [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -38,12 +38,12 @@ CONVENTION_LINEAGE = "lineage"
 
 def generate_anchors(feature_shape: tuple[int, int], grid: GridConfig,
                      dims: tuple[float, float, float] = ANCHOR_DIMS,
-                     yaws: Sequence[float] = ANCHOR_YAWS,
                      z_center: float = ANCHOR_Z_CENTER) -> np.ndarray:
-    """One anchor per (pixel, yaw) at the pixel's BEV center.
+    """One anchor per (pixel, yaw in ANCHOR_YAWS) at the pixel's BEV center.
 
-    Returns (H*W*len(yaws), 7) rows (cx, cy, cz, l, w, h, yaw), ordered
-    row-major over pixels with yaw fastest, matching the head's map layout.
+    Returns (H*W*len(ANCHOR_YAWS), 7) rows (cx, cy, cz, l, w, h, yaw),
+    ordered row-major over pixels with yaw fastest, matching the head's map
+    layout.
     """
     h, w = feature_shape
     pitch_x = (grid.range_max[0] - grid.range_min[0]) / w
@@ -52,9 +52,9 @@ def generate_anchors(feature_shape: tuple[int, int], grid: GridConfig,
     cx = grid.range_min[0] + (cols.ravel() + 0.5) * pitch_x
     cy = grid.range_min[1] + (rows.ravel() + 0.5) * pitch_y
 
-    n_yaw = len(yaws)
+    n_yaw = len(ANCHOR_YAWS)
     anchors = np.empty((h * w * n_yaw, 7), dtype=np.float64)
-    for j, yaw in enumerate(yaws):
+    for j, yaw in enumerate(ANCHOR_YAWS):
         block = anchors[j::n_yaw]
         block[:, 0] = cx
         block[:, 1] = cy
@@ -262,14 +262,13 @@ def associate_total_loss(bbox_loss: Tensor, cls_loss: Tensor,
     return engine.add(engine.add(bbox_loss, cls_loss), weighted)
 
 
-def nms_bev(boxes: Sequence[Box3D] | np.ndarray, scores,
+def nms_bev(boxes: Sequence[Box3D], scores,
             iou_threshold: float = NMS_IOU_DEFAULT) -> np.ndarray:
     """Greedy rotated-BEV suppression; returns kept indices, best first.
 
     A box is dropped when its IoU with an already kept box exceeds the
     threshold.  Score ties break toward the lower index.
     """
-    boxes = [b if isinstance(b, Box3D) else Box3D(*b) for b in boxes]
     scores = np.asarray(scores, dtype=np.float64)
     if len(boxes) != len(scores):
         raise ValueError("boxes and scores must align")

@@ -14,6 +14,7 @@ throughout so finite-difference checks can run tight tolerances.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import threading
@@ -510,31 +511,41 @@ _CKPT_MAGIC = b"VDCK"
 _CKPT_VERSION = 1
 
 
-def save_checkpoint(path, params: dict[str, Tensor | np.ndarray]) -> None:
-    """Write named float64 arrays with a version header; byte-stable ordering.
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open a temporary file beside `path` that replaces it once the block ends.
 
-    The bytes go to a temporary file beside `path` that then replaces it,
-    so a write that fails midway leaves the previous checkpoint intact.
+    A write that fails midway leaves the previous file intact and removes
+    the temporary one.
     """
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(tmp, "wb") as f:
-            f.write(_CKPT_MAGIC)
-            f.write(struct.pack("<II", _CKPT_VERSION, len(params)))
-            for name in sorted(params):
-                arr = params[name]
-                data = arr.data if isinstance(arr, Tensor) else np.asarray(arr, dtype=np.float64)
-                encoded = name.encode("utf-8")
-                f.write(struct.pack("<H", len(encoded)))
-                f.write(encoded)
-                f.write(struct.pack("<B", data.ndim))
-                f.write(struct.pack(f"<{data.ndim}q", *data.shape))
-                f.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
+        with open(tmp, mode) as f:
+            yield f
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def save_checkpoint(path, params: dict[str, Tensor | np.ndarray]) -> None:
+    """Write named float64 arrays with a version header; byte-stable ordering.
+
+    The write is atomic (see atomic_write).
+    """
+    with atomic_write(path, "wb") as f:
+        f.write(_CKPT_MAGIC)
+        f.write(struct.pack("<II", _CKPT_VERSION, len(params)))
+        for name in sorted(params):
+            arr = params[name]
+            data = arr.data if isinstance(arr, Tensor) else np.asarray(arr, dtype=np.float64)
+            encoded = name.encode("utf-8")
+            f.write(struct.pack("<H", len(encoded)))
+            f.write(encoded)
+            f.write(struct.pack("<B", data.ndim))
+            f.write(struct.pack(f"<{data.ndim}q", *data.shape))
+            f.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

@@ -8,7 +8,7 @@ grid (11- or 40-point).  The "bev" metric uses rotated bird's-eye IoU; the
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -121,16 +121,6 @@ def _result_from_samples(samples: list[tuple[float, bool]], n_gt: int,
                       int(fp_cum[-1]) if n_det else 0)
 
 
-def average_precision(det_boxes: Sequence[Box3D], scores, gts: Sequence[Box3D],
-                      iou_threshold: float = 0.7, interpolation: int = 40,
-                      metric: str = METRIC_BEV) -> EvalResult:
-    """Single-scene AP; see module docstring for the protocol."""
-    order, tp, _ = match_detections(det_boxes, scores, gts, iou_threshold, metric)
-    scores = np.asarray(scores, dtype=np.float64)
-    samples = [(float(scores[i]), bool(hit)) for i, hit in zip(order, tp)]
-    return _result_from_samples(samples, len(gts), interpolation)
-
-
 def distance_bucket(box: Box3D) -> str:
     reach = math.hypot(box.cx, box.cy)
     if reach < BUCKET_EDGES[0]:
@@ -169,13 +159,11 @@ def decode_detections(out: ForwardOutput, anchors: np.ndarray,
 
 
 def infer_detections(params: dict, cloud: PointCloud, net_config: NetworkConfig,
-                     anchors: np.ndarray | None = None,
+                     anchors: np.ndarray,
                      score_threshold: float = 0.1,
                      nms_iou: float = NMS_IOU_DEFAULT,
                      codec: str = CONVENTION_PRINTED):
     """Run the detector on one scene; returns (boxes, scores) best-first."""
-    if anchors is None:
-        anchors = AnchorConfig().generate(net_config.bev_shape, net_config.grid)
     return decode_detections(run_branch(params, cloud, net_config), anchors,
                              score_threshold, nms_iou, codec)
 
@@ -183,7 +171,7 @@ def infer_detections(params: dict, cloud: PointCloud, net_config: NetworkConfig,
 @dataclass(frozen=True)
 class EvalReport:
     overall: EvalResult
-    buckets: dict[str, EvalResult] = field(default_factory=dict)
+    buckets: dict[str, EvalResult]
     n_scenes: int = 0
     iou_threshold: float = 0.7
     interpolation: int = 40
@@ -192,8 +180,7 @@ class EvalReport:
 
 def evaluate_detections(per_scene: Sequence[tuple[Sequence[Box3D], np.ndarray, Sequence[Box3D]]],
                         iou_threshold: float = 0.7, interpolation: int = 40,
-                        metric: str = METRIC_BEV,
-                        with_buckets: bool = True) -> EvalReport:
+                        metric: str = METRIC_BEV) -> EvalReport:
     """Pool (detections, scores, gts) triples into one report.
 
     Matching stays inside each scene; the precision/recall sweep ranks all
@@ -219,11 +206,9 @@ def evaluate_detections(per_scene: Sequence[tuple[Sequence[Box3D], np.ndarray, S
             bucket_samples[distance_bucket(home)].append(sample)
 
     overall = _result_from_samples(pooled, n_gt, interpolation)
-    buckets = {}
-    if with_buckets:
-        for name in BUCKET_NAMES:
-            buckets[name] = _result_from_samples(bucket_samples[name],
-                                                 bucket_gts[name], interpolation)
+    buckets = {name: _result_from_samples(bucket_samples[name], bucket_gts[name],
+                                          interpolation)
+               for name in BUCKET_NAMES}
     return EvalReport(overall, buckets, len(per_scene), iou_threshold,
                       interpolation, metric)
 
@@ -232,7 +217,7 @@ def evaluate(params: dict, scenes: Sequence[tuple[PointCloud, Sequence[Box3D]]],
              net_config: NetworkConfig, iou_threshold: float = 0.7,
              interpolation: int = 40, metric: str = METRIC_BEV,
              score_threshold: float = 0.1, nms_iou: float = NMS_IOU_DEFAULT,
-             codec: str = CONVENTION_PRINTED, with_buckets: bool = True,
+             codec: str = CONVENTION_PRINTED,
              anchors: AnchorConfig = AnchorConfig()) -> EvalReport:
     """Detect on every scene and aggregate AP; deterministic end to end."""
     anchor_grid = anchors.generate(net_config.bev_shape, net_config.grid)
@@ -241,8 +226,7 @@ def evaluate(params: dict, scenes: Sequence[tuple[PointCloud, Sequence[Box3D]]],
         boxes, scores = infer_detections(params, cloud, net_config, anchor_grid,
                                          score_threshold, nms_iou, codec)
         per_scene.append((boxes, scores, list(gts)))
-    return evaluate_detections(per_scene, iou_threshold, interpolation, metric,
-                               with_buckets)
+    return evaluate_detections(per_scene, iou_threshold, interpolation, metric)
 
 
 def format_report(report: EvalReport) -> str:
@@ -259,6 +243,5 @@ def format_report(report: EvalReport) -> str:
         line("overall", report.overall),
     ]
     for name in BUCKET_NAMES:
-        if name in report.buckets:
-            out.append(line(f"bucket {name}", report.buckets[name]))
+        out.append(line(f"bucket {name}", report.buckets[name]))
     return "\n".join(out) + "\n"

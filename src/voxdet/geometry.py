@@ -105,11 +105,6 @@ class Box3D:
     def as_array(self) -> np.ndarray:
         return np.array([self.cx, self.cy, self.cz, self.l, self.w, self.h, self.yaw], dtype=np.float64)
 
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "Box3D":
-        cx, cy, cz, l, w, h, yaw = (float(v) for v in arr)
-        return cls(cx, cy, cz, l, w, h, yaw)
-
 
 def box_corners_bev(box: Box3D) -> np.ndarray:
     """Counter-clockwise BEV corners of the yaw-rotated l-by-w rectangle.
@@ -170,7 +165,7 @@ def _clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
 
 
 def _bev_intersection_area(a: Box3D, b: Box3D) -> float:
-    # Canonical argument order makes the result exactly symmetric in (a, b).
+    # Canonical argument order makes (a, b) and (b, a) give the same bits.
     if (a.cx, a.cy, a.l, a.w, a.yaw) > (b.cx, b.cy, b.l, b.w, b.yaw):
         a, b = b, a
     return polygon_area(_clip_polygon(box_corners_bev(a), box_corners_bev(b)))
@@ -201,62 +196,22 @@ def rotated_iou_3d(a: Box3D, b: Box3D) -> float:
     return inter / (vol_a + vol_b - inter)
 
 
-class _HashGrid:
-    """Uniform hash grid over a fixed point set for nearest-neighbor queries."""
-
-    def __init__(self, points: np.ndarray, cell: float = 0.5):
-        self.points = points
-        self.cell = cell
-        keys = np.floor(points / cell).astype(np.int64)
-        self.cells: dict[tuple[int, int, int], list[int]] = {}
-        for i, k in enumerate(map(tuple, keys)):
-            self.cells.setdefault(k, []).append(i)
-        self.kmin = keys.min(axis=0)
-        self.kmax = keys.max(axis=0)
-
-    def nearest_distance(self, p: np.ndarray) -> float:
-        c0 = np.floor(p / self.cell).astype(np.int64)
-        k_max = int(np.maximum(np.abs(c0 - self.kmin), np.abs(c0 - self.kmax)).max())
-        best = math.inf
-        for ring in range(k_max + 1):
-            # A cell at Chebyshev ring r holds points no closer than (r-1)*cell,
-            # so once best <= (ring-1)*cell no ring from here on can improve it.
-            if ring > 0 and best <= (ring - 1) * self.cell:
-                break
-            idx: list[int] = []
-            lo, hi = c0 - ring, c0 + ring
-            for ix in range(lo[0], hi[0] + 1):
-                for iy in range(lo[1], hi[1] + 1):
-                    for iz in range(lo[2], hi[2] + 1):
-                        if max(abs(ix - c0[0]), abs(iy - c0[1]), abs(iz - c0[2])) != ring:
-                            continue
-                        bucket = self.cells.get((ix, iy, iz))
-                        if bucket is not None:
-                            idx.extend(bucket)
-            if idx:
-                d = np.linalg.norm(self.points[idx] - p, axis=1).min()
-                best = min(best, float(d))
-        return best
+# Each chunk of the query set holds at most this many (query, model) pairs,
+# which bounds the difference array at a few megabytes.
+_PAIRS_PER_CHUNK = 1 << 18
 
 
-def avg_closest_point_distance(a: PointCloud, b: PointCloud, symmetric: bool = False) -> float:
+def avg_closest_point_distance(a: PointCloud, b: PointCloud) -> float:
     """Mean over points of `a` of the distance to the closest point of `b`.
 
     Directed from the observed object `a` to the candidate model `b`; a
     sparse observation that is a subset of a dense model scores 0 this way.
-    `symmetric=True` averages both directions instead.
     """
     if len(a) == 0 or len(b) == 0:
         raise ValueError("avg_closest_point_distance requires non-empty clouds")
-    d_ab = _directed_mean_closest(a.xyz, b.xyz)
-    if not symmetric:
-        return d_ab
-    return 0.5 * (d_ab + _directed_mean_closest(b.xyz, a.xyz))
-
-
-def _directed_mean_closest(a: np.ndarray, b: np.ndarray) -> float:
-    if len(b) < 64:
-        diff = a[:, None, :] - b[None, :, :]
-        return float(np.sqrt((diff * diff).sum(axis=2)).min(axis=1).mean())
-    grid = _HashGrid(b)
-    return float(np.mean([grid.nearest_distance(p) for p in a]))
+    step = max(1, _PAIRS_PER_CHUNK // len(b))
+    closest = np.empty(len(a), dtype=np.float64)
+    for lo in range(0, len(a), step):
+        diff = a.xyz[lo:lo + step, None, :] - b.xyz[None, :, :]
+        closest[lo:lo + step] = np.sqrt((diff * diff).sum(axis=2)).min(axis=1)
+    return float(closest.mean())

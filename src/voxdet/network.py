@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine
+from .detection_head import ANCHOR_YAWS
 from .engine import Tensor
 from .geometry import PointCloud
 from .sparse_conv import STRIDED, SUBMANIFOLD, build_rulebook, sparse_conv, squeeze_height, to_dense
@@ -36,7 +37,6 @@ class NetworkConfig:
     deform_kernel: int = 5
     adapt_channels: int = 128
     head_channels: int = 128
-    num_yaws: int = 2
 
     def __post_init__(self):
         nx, ny, nz = self.grid.spatial_shape
@@ -76,8 +76,8 @@ class NetworkConfig:
 class ForwardOutput:
     """Per-scene head outputs; spatial shape is shared by every field."""
 
-    cls_map: Tensor       # (num_yaws, H, W) logits
-    reg_map: Tensor       # (num_yaws*7, H, W) deltas
+    cls_map: Tensor       # (len(ANCHOR_YAWS), H, W) logits
+    reg_map: Tensor       # (len(ANCHOR_YAWS)*7, H, W) deltas
     adapt_feature: Tensor  # (adapt_channels, H, W), post-ReLU
     offsets: Tensor | None  # (2*k*k, H, W); None on the reference branch
 
@@ -114,10 +114,11 @@ def parameter_shapes(config: NetworkConfig, with_offsets: bool = True) -> dict:
         shapes["offsets.bias"] = (config.num_offset_channels,)
     shapes["head.stem.weight"] = (config.head_channels, config.adapt_channels, 3, 3)
     shapes["head.stem.bias"] = (config.head_channels,)
-    shapes["head.cls.weight"] = (config.num_yaws, config.head_channels, 1, 1)
-    shapes["head.cls.bias"] = (config.num_yaws,)
-    shapes["head.reg.weight"] = (config.num_yaws * 7, config.head_channels, 1, 1)
-    shapes["head.reg.bias"] = (config.num_yaws * 7,)
+    n_yaw = len(ANCHOR_YAWS)
+    shapes["head.cls.weight"] = (n_yaw, config.head_channels, 1, 1)
+    shapes["head.cls.bias"] = (n_yaw,)
+    shapes["head.reg.weight"] = (n_yaw * 7, config.head_channels, 1, 1)
+    shapes["head.reg.bias"] = (n_yaw * 7,)
     return shapes
 
 

@@ -19,12 +19,14 @@ import numpy as np
 from . import engine
 from .adaptation import (
     COUNT_FOREGROUND,
+    COUNT_NONZERO,
     association_loss,
     foreground_mask,
     offset_length_map,
     reweighting_map,
 )
 from .detection_head import (
+    CONVENTION_LINEAGE,
     CONVENTION_PRINTED,
     AnchorConfig,
     assign_targets,
@@ -75,6 +77,10 @@ class TrainConfig:
             raise ValueError("clip_norm must be positive or None")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
+        if self.count_mode not in (COUNT_FOREGROUND, COUNT_NONZERO):
+            raise ValueError(f"count_mode must be '{COUNT_FOREGROUND}' or '{COUNT_NONZERO}'")
+        if self.codec not in (CONVENTION_PRINTED, CONVENTION_LINEAGE):
+            raise ValueError(f"codec must be '{CONVENTION_PRINTED}' or '{CONVENTION_LINEAGE}'")
 
 
 @dataclass(frozen=True)

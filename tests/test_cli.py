@@ -174,6 +174,21 @@ def test_eval_out_override(pipeline):
     assert (other / "eval_real.txt").is_file()
 
 
+def test_eval_report_write_failing_midway_keeps_previous(pipeline, tmp_path,
+                                                        monkeypatch, capsys):
+    ckpt = str(pipeline["root"] / "runs" / "pfe.ckpt")
+    argv = ["eval", "--config", pipeline["cfg_path"], "--out", str(tmp_path),
+            "--checkpoint", ckpt]
+    assert cli.main(argv) == 0
+    before = (tmp_path / "eval_real.txt").read_bytes()
+    # a lone surrogate cannot be encoded, so the write fails after the open
+    monkeypatch.setattr(cli, "format_report", lambda report: "scenes 3\n\ud800\n")
+    assert cli.main(argv) == 4
+    assert "encode" in capsys.readouterr().err
+    assert (tmp_path / "eval_real.txt").read_bytes() == before
+    assert os.listdir(tmp_path) == ["eval_real.txt"]
+
+
 def test_eval_truncated_checkpoint_exits_4(pipeline, tmp_path, capsys):
     raw = (pipeline["root"] / "runs" / "pfe.ckpt").read_bytes()
     partial = tmp_path / "partial.ckpt"

@@ -1,5 +1,8 @@
+import os
+
 import pytest
 
+from voxdet import cli
 from voxdet.config import (
     AnchorConfig,
     EvalConfig,
@@ -104,3 +107,25 @@ def test_file_io(tmp_path):
 def test_anchor_threshold_ordering_enforced():
     with pytest.raises(ValueError, match="negative_iou"):
         AnchorConfig(positive_iou=0.4, negative_iou=0.5)
+
+
+@pytest.mark.parametrize("text", [
+    "train:\n  codec: lineag\n",
+    "train:\n  count_mode: nonzer\n",
+    "eval:\n  nms_iou: -1\n",
+    "eval:\n  score_threshold: 2\n",
+    "eval:\n  iou_threshold: 0\n",
+], ids=["codec", "count_mode", "nms_iou", "score_threshold", "iou_threshold"])
+def test_out_of_range_values_are_rejected_at_load(text):
+    with pytest.raises(ValueError):
+        loads_config(text)
+
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+
+
+def test_committed_configs_match_the_code(capsys):
+    assert load_config(os.path.join(CONFIGS, "mini.yaml")) == mini_run_config()
+    assert cli.main(["--dump-defaults"]) == 0
+    with open(os.path.join(CONFIGS, "default.yaml"), "rb") as fh:
+        assert fh.read() == capsys.readouterr().out.encode()

@@ -9,7 +9,6 @@ from voxdet.evaluation import (
     METRIC_3D,
     METRIC_BEV,
     EvalReport,
-    average_precision,
     distance_bucket,
     evaluate,
     evaluate_detections,
@@ -34,8 +33,8 @@ def far_apart(n, spacing=50.0):
 def test_perfect_detector_scores_100():
     gts = far_apart(3)
     for interp in (11, 40):
-        r = average_precision(gts, [0.9, 0.5, 0.7], gts, iou_threshold=0.7,
-                              interpolation=interp)
+        r = evaluate_detections([(gts, [0.9, 0.5, 0.7], gts)], iou_threshold=0.7,
+                                interpolation=interp).overall
         assert r.ap == 100.0
         assert r.true_positives == 3
         assert r.false_positives == 0
@@ -43,21 +42,21 @@ def test_perfect_detector_scores_100():
 
 
 def test_no_detections_gives_zero():
-    r = average_precision([], [], far_apart(2))
+    r = evaluate_detections([([], [], far_apart(2))]).overall
     assert r.ap == 0.0
     assert r.n_gt == 2
     assert not r.undefined
 
 
 def test_zero_gts_zero_dets_flagged_undefined():
-    r = average_precision([], [], [])
+    r = evaluate_detections([([], [], [])]).overall
     assert r.ap == 0.0
     assert r.undefined
 
 
 def test_zero_gts_with_detections_all_fp():
     dets = far_apart(2)
-    r = average_precision(dets, [0.5, 0.6], [])
+    r = evaluate_detections([(dets, [0.5, 0.6], [])]).overall
     assert r.ap == 0.0
     assert r.false_positives == 2
     assert not r.undefined
@@ -70,13 +69,13 @@ def test_hand_worked_five_det_three_gt_table():
     dets = [gts[0], misses[0], gts[1], misses[1], gts[2]]
     scores = [0.9, 0.8, 0.7, 0.6, 0.5]
 
-    r11 = average_precision(dets, scores, gts, iou_threshold=0.5, interpolation=11)
+    r11 = evaluate_detections([(dets, scores, gts)], iou_threshold=0.5, interpolation=11).overall
     want11 = 100.0 * (4 * 1.0 + 3 * (2 / 3) + 4 * (3 / 5)) / 11
     assert r11.ap == pytest.approx(want11, abs=1e-9)
     np.testing.assert_allclose(r11.precision, [1, 1 / 2, 2 / 3, 2 / 4, 3 / 5], atol=1e-12)
     np.testing.assert_allclose(r11.recall, [1 / 3, 1 / 3, 2 / 3, 2 / 3, 1.0], atol=1e-12)
 
-    r40 = average_precision(dets, scores, gts, iou_threshold=0.5, interpolation=40)
+    r40 = evaluate_detections([(dets, scores, gts)], iou_threshold=0.5, interpolation=40).overall
     want40 = 100.0 * (13 * 1.0 + 13 * (2 / 3) + 14 * (3 / 5)) / 40
     assert r40.ap == pytest.approx(want40, abs=1e-9)
     assert abs(r11.ap - r40.ap) < 10.0
@@ -109,11 +108,11 @@ def test_removing_a_false_positive_never_lowers_ap():
     dets = list(gts) + [box_at(33, 40), box_at(91, 40)]
     scores = list(rng.uniform(0.2, 1.0, len(dets)))
     for interp in (11, 40):
-        base = average_precision(dets, scores, gts, 0.5, interp).ap
+        base = evaluate_detections([(dets, scores, gts)], 0.5, interp).overall.ap
         for drop in (4, 5):
             kept = [d for i, d in enumerate(dets) if i != drop]
             kept_scores = [s for i, s in enumerate(scores) if i != drop]
-            assert average_precision(kept, kept_scores, gts, 0.5, interp).ap >= base
+            assert evaluate_detections([(kept, kept_scores, gts)], 0.5, interp).overall.ap >= base
 
 
 def test_ap_invariant_under_monotone_score_rescale():
@@ -122,9 +121,9 @@ def test_ap_invariant_under_monotone_score_rescale():
     dets = [gts[0], box_at(20, 30), gts[2], box_at(80, 30)]
     scores = np.array([0.9, 0.6, 0.4, 0.2])
     for interp in (11, 40):
-        a = average_precision(dets, scores, gts, 0.5, interp)
-        b = average_precision(dets, 2.0 * scores + 1.0, gts, 0.5, interp)
-        c = average_precision(dets, np.tanh(scores), gts, 0.5, interp)
+        a = evaluate_detections([(dets, scores, gts)], 0.5, interp).overall
+        b = evaluate_detections([(dets, 2.0 * scores + 1.0, gts)], 0.5, interp).overall
+        c = evaluate_detections([(dets, np.tanh(scores), gts)], 0.5, interp).overall
         assert a.ap == b.ap == c.ap
         np.testing.assert_array_equal(a.precision, b.precision)
 
@@ -141,16 +140,16 @@ def test_11_and_40_point_stay_within_envelope():
         for _ in range(int(rng.integers(0, 4))):
             dets.append(box_at(rng.uniform(0, 100), 35.0))
             scores.append(float(rng.uniform(0.3, 1)))
-        a11 = average_precision(dets, scores, gts, 0.5, 11).ap
-        a40 = average_precision(dets, scores, gts, 0.5, 40).ap
+        a11 = evaluate_detections([(dets, scores, gts)], 0.5, 11).overall.ap
+        a40 = evaluate_detections([(dets, scores, gts)], 0.5, 40).overall.ap
         assert abs(a11 - a40) < 10.0
 
 
 def test_3d_metric_penalizes_vertical_offset():
     gt = box_at(0, 0, z=0.0, h=2.0)
     lifted = box_at(0, 0, z=1.0, h=2.0)  # half-height overlap
-    bev = average_precision([lifted], [0.9], [gt], 0.5, 40, METRIC_BEV)
-    vol = average_precision([lifted], [0.9], [gt], 0.5, 40, METRIC_3D)
+    bev = evaluate_detections([([lifted], [0.9], [gt])], 0.5, 40, METRIC_BEV).overall
+    vol = evaluate_detections([([lifted], [0.9], [gt])], 0.5, 40, METRIC_3D).overall
     assert bev.ap == 100.0
     # 3d IoU = 1/(2-1) * ... intersection 1, union 3 -> 1/3 < 0.5
     assert vol.ap == 0.0
@@ -233,7 +232,8 @@ def test_infer_detections_schema_on_untrained_model():
     cloud = PointCloud(np.column_stack([
         rng.uniform(10, 20, 30), rng.uniform(-5, 5, 30),
         rng.uniform(-1.5, 0.5, 30), rng.uniform(0, 1, 30)]))
-    boxes, scores = infer_detections(params, cloud, net, score_threshold=0.0)
+    anchors = generate_anchors(net.bev_shape, net.grid)
+    boxes, scores = infer_detections(params, cloud, net, anchors, score_threshold=0.0)
     assert len(boxes) == len(scores)
     assert all(isinstance(b, Box3D) for b in boxes)
     assert (np.diff(scores) <= 1e-15).all()  # best-first ordering

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from voxdet import engine
+from voxdet.config import loads_config
+from voxdet.detection_head import ANCHOR_YAWS
 from voxdet.engine import Tape, Tensor
 from voxdet.geometry import PointCloud
 from voxdet import network
@@ -207,3 +209,12 @@ def test_backbone_builds_one_submanifold_rulebook_per_stage(monkeypatch):
     cfg = mini_config()
     pfe_forward(sample_cloud(seed=3), init_params(cfg, seed=0), cfg)
     assert modes == [SUBMANIFOLD, STRIDED] * 4
+
+
+def test_head_predicts_one_anchor_per_fixed_yaw():
+    # the yaw count is not configurable: eval decodes against ANCHOR_YAWS
+    with pytest.raises(ValueError, match="num_yaws"):
+        loads_config("network:\n  num_yaws: 1\n")
+    params = init_params(mini_config(), seed=0)
+    assert params["head.cls.weight"].data.shape[0] == len(ANCHOR_YAWS)
+    assert params["head.reg.weight"].data.shape[0] == 7 * len(ANCHOR_YAWS)
