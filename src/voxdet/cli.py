@@ -240,6 +240,12 @@ def _cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="voxdet", description="desk-scale LiDAR 3D object detector")
@@ -285,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--dataset", choices=("real", "conceptual"), default="real")
     p.add_argument("--scene", type=int, default=None)
-    p.add_argument("--scale", type=int, default=4)
+    p.add_argument("--scale", type=_positive_int, default=4)
     p.set_defaults(fn=_cmd_render_bev)
 
     p = sub.add_parser("gradcheck", help="finite-difference check every op")

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, fields
 import yaml
 
 from .detection_head import NMS_IOU_DEFAULT, AnchorConfig
+from .engine import atomic_write
 from .evaluation import METRIC_BEV, METRIC_3D
 from .network import NetworkConfig
 from .trainer import TrainConfig
@@ -161,7 +162,7 @@ def loads_config(text: str) -> RunConfig:
 
 
 def save_config(path: str | os.PathLike, cfg: RunConfig) -> None:
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write(dumps_config(cfg))
 
 

@@ -45,8 +45,10 @@ class NetworkConfig:
                 f"grid BEV dims {nx}x{ny} must be divisible by {SPATIAL_DOWNSAMPLE}")
         if len(self.stage_channels) != 4:
             raise ValueError("stage_channels must list four stages")
-        if self.deform_kernel % 2 == 0:
-            raise ValueError("deform_kernel must be odd")
+        if self.embed_channels < 1:
+            raise ValueError("embed_channels must be >= 1")
+        if self.deform_kernel < 1 or self.deform_kernel % 2 == 0:
+            raise ValueError("deform_kernel must be odd and >= 1")
 
     @property
     def bev_shape(self) -> tuple[int, int]:

@@ -11,6 +11,7 @@ import os
 
 import numpy as np
 
+from .engine import atomic_write
 from .geometry import Box3D, PointCloud, box_corners_bev
 from .voxelizer import GridConfig
 
@@ -106,7 +107,7 @@ def write_ppm(path: str | os.PathLike, img: np.ndarray) -> None:
     if img.ndim != 3 or img.shape[2] != 3 or img.dtype != np.uint8:
         raise ValueError("image must be (H, W, 3) uint8")
     h, w = img.shape[:2]
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(img.tobytes())
 

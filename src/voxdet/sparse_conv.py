@@ -5,6 +5,15 @@ which output row; the convolution is then gather, matmul against that
 tap's weight slice, scatter-add. Submanifold mode keeps the site set
 unchanged (no dilation of the active pattern); strided mode creates the
 downsampled sites that receive at least one contribution.
+
+One builder serves both modes. A pair links input site i and output site
+o of one tap when i = o * stride + tap - padding. Submanifold mode walks
+the output sites and looks each partner up among the input sites;
+strided mode walks the input sites and looks each partner up among the
+reached output sites. Pairs are listed tap by tap in the nested
+(dx, dy, dz) order; within a tap they run in ascending output row
+(submanifold) or ascending input row (strided). The backward pass sums
+the weight gradient in that order, so it is part of the contract.
 """
 
 from __future__ import annotations
@@ -13,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Tensor, _record
-from .voxelizer import SparseVoxelTensor
+from .engine import Tensor, _record, reshape
+from .voxelizer import SparseVoxelTensor, voxel_coords, voxel_keys
 
 SUBMANIFOLD = "submanifold"
 STRIDED = "strided"
@@ -37,17 +46,11 @@ class Rulebook:
     out_coords: np.ndarray
     out_spatial_shape: tuple[int, int, int]
     kernel: tuple[int, int, int]
-    mode: str
     in_count: int
 
     @property
     def num_pairs(self) -> int:
         return sum(len(i) for i, _ in self.taps)
-
-
-def _linear_keys(coords: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
-    _, ny, nz = shape
-    return (coords[:, 0] * ny + coords[:, 1]) * nz + coords[:, 2]
 
 
 def build_rulebook(coords: np.ndarray, spatial_shape, kernel, stride=1,
@@ -66,88 +69,50 @@ def build_rulebook(coords: np.ndarray, spatial_shape, kernel, stride=1,
     if padding is None:
         padding = tuple(k // 2 for k in kernel)
     padding = _as_triple(padding)
+    shape, k, s, p = (np.asarray(v) for v in (spatial_shape, kernel, stride, padding))
+    taps = np.indices(kernel).reshape(3, -1).T[:, None]  # (T, 1, 3), nested order
 
+    # input site = output site * stride + tap - padding; each row meets one
+    # partner site per tap, kept if it lies inside the partner grid
     if mode == SUBMANIFOLD:
-        if any(k % 2 == 0 for k in kernel):
+        if any(v % 2 == 0 for v in kernel):
             raise ValueError(f"submanifold mode needs odd kernel dims, got {kernel}")
         if stride != (1, 1, 1):
             raise ValueError("submanifold mode is stride 1 by definition")
-        return _build_submanifold(coords, spatial_shape, kernel)
-    if mode == STRIDED:
-        return _build_strided(coords, spatial_shape, kernel, stride, padding)
-    raise ValueError(f"unknown rulebook mode {mode!r}")
+        out_shape = shape
+        partner = coords + taps - k // 2  # rows are output sites, partners input sites
+        valid = ((partner >= 0) & (partner < shape)).all(axis=2)
+    elif mode == STRIDED:
+        out_shape = (shape + 2 * p - k) // s + 1
+        if (out_shape < 1).any():
+            raise ValueError(f"kernel {kernel} with stride {stride} empties spatial shape {spatial_shape}")
+        num = coords + p - taps  # rows are input sites, partners output sites
+        partner = num // s
+        valid = ((num % s == 0) & (partner >= 0) & (partner < out_shape)).all(axis=2)
+    else:
+        raise ValueError(f"unknown rulebook mode {mode!r}")
+    out_shape = tuple(int(v) for v in out_shape)
 
-
-def _tap_offsets(kernel: tuple[int, int, int]) -> np.ndarray:
-    kx, ky, kz = kernel
-    grid = np.stack(np.meshgrid(np.arange(kx), np.arange(ky), np.arange(kz), indexing="ij"), -1)
-    return grid.reshape(-1, 3)
-
-
-def _build_submanifold(coords, spatial_shape, kernel) -> Rulebook:
-    keys = _linear_keys(coords, spatial_shape)
-    order = np.argsort(keys)
-    keys_sorted = keys[order]
-    half = np.array([k // 2 for k in kernel])
-    shape = np.asarray(spatial_shape)
-    taps = []
-    empty = np.zeros(0, dtype=np.int64)
-    for tap in _tap_offsets(kernel):
-        rel = tap - half
-        cand = coords + rel  # input position feeding each output site at this tap
-        valid = ((cand >= 0) & (cand < shape)).all(axis=1)
-        out_idx = np.nonzero(valid)[0]
-        if len(out_idx) == 0 or len(keys_sorted) == 0:
-            taps.append((empty, empty))
-            continue
-        cand_keys = _linear_keys(cand[valid], spatial_shape)
-        pos = np.minimum(np.searchsorted(keys_sorted, cand_keys), len(keys_sorted) - 1)
-        found = keys_sorted[pos] == cand_keys
-        taps.append((order[pos[found]], out_idx[found]))
-    return Rulebook(taps, coords.copy(), spatial_shape, kernel, SUBMANIFOLD, len(coords))
-
-
-def _build_strided(coords, spatial_shape, kernel, stride, padding) -> Rulebook:
-    shape = np.asarray(spatial_shape)
-    k = np.asarray(kernel)
-    s = np.asarray(stride)
-    p = np.asarray(padding)
-    out_shape = (shape + 2 * p - k) // s + 1
-    if (out_shape < 1).any():
-        raise ValueError(f"kernel {kernel} with stride {stride} empties spatial shape {spatial_shape}")
-
-    # first pass: find every output site receiving at least one contribution
-    per_tap: list[tuple[np.ndarray, np.ndarray]] = []
-    all_out = []
-    for tap in _tap_offsets(kernel):
-        num = coords + p - tap
-        ok = (num % s == 0).all(axis=1)
-        site = num // s
-        ok &= ((site >= 0) & (site < out_shape)).all(axis=1)
-        in_idx = np.nonzero(ok)[0]
-        per_tap.append((in_idx, site[ok]))
-        if len(in_idx):
-            all_out.append(site[ok])
-    out_tuple = tuple(int(v) for v in out_shape)
-    if not all_out:
-        empty = np.zeros(0, dtype=np.int64)
-        return Rulebook([(empty, empty) for _ in per_tap], np.zeros((0, 3), np.int64),
-                        out_tuple, kernel, STRIDED, len(coords))
-    stacked = np.concatenate(all_out)
-    out_keys = _linear_keys(stacked, out_tuple)
-    uniq_keys = np.unique(out_keys)  # sorted: lexicographic (ix, iy, iz) order
-    _, ny, nz = out_tuple
-    out_coords = np.column_stack([uniq_keys // (ny * nz), (uniq_keys // nz) % ny, uniq_keys % nz])
-
-    taps = []
-    for in_idx, sites in per_tap:
-        if len(in_idx) == 0:
-            taps.append((in_idx, in_idx.copy()))
-            continue
-        site_keys = _linear_keys(sites, out_tuple)
-        out_idx = np.searchsorted(uniq_keys, site_keys)
-        taps.append((in_idx, out_idx))
-    return Rulebook(taps, out_coords, out_tuple, kernel, STRIDED, len(coords))
+    # the partner's row comes from one sorted key table: the input sites, or
+    # the output sites, which are exactly the sites some pair reaches
+    tap, row = np.nonzero(valid)  # tap-major, ascending row within a tap
+    keys = voxel_keys(partner[tap, row], out_shape)
+    if mode == SUBMANIFOLD:
+        table = voxel_keys(coords, out_shape)
+        order = np.argsort(table)
+        table = table[order]
+        out_coords = coords.copy()
+    else:
+        table = np.unique(keys)
+        order = np.arange(len(table))
+        out_coords = voxel_coords(table, out_shape)
+    pos = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+    found = table[pos] == keys
+    partner_row, row = order[pos[found]], row[found]
+    in_rows, out_rows = (partner_row, row) if mode == SUBMANIFOLD else (row, partner_row)
+    bounds = np.cumsum(np.bincount(tap[found], minlength=len(taps)))[:-1]
+    pairs = list(zip(np.split(in_rows, bounds), np.split(out_rows, bounds)))
+    return Rulebook(pairs, out_coords, out_shape, kernel, len(coords))
 
 
 def sparse_conv_forward(features: Tensor, weight: Tensor, bias: Tensor | None,
@@ -216,20 +181,13 @@ def to_dense(sp: SparseVoxelTensor) -> Tensor:
 
 def from_dense(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of to_dense for tests: coords and features of nonzero sites."""
-    c, nz, ny, nx = dense.shape
-    occupied = (dense != 0).any(axis=0)
-    iz, iy, ix = np.nonzero(occupied)
-    coords = np.column_stack([ix, iy, iz]).astype(np.int64)
-    keys = (coords[:, 0] * ny + coords[:, 1]) * nz + coords[:, 2]
-    order = np.argsort(keys)
-    coords = coords[order]
+    # nonzero over the (X, Y, Z) view lists sites in (ix, iy, iz) key order
+    coords = np.argwhere((dense != 0).any(axis=0).T)
     feats = dense[:, coords[:, 2], coords[:, 1], coords[:, 0]].T
     return coords, feats
 
 
 def squeeze_height(dense: Tensor) -> Tensor:
     """Reshape (C, Z, Y, X) to (C*Z, Y, X); channel index is c*Z + z."""
-    from .engine import reshape
-
     c, z, y, x = dense.data.shape
     return reshape(dense, (c * z, y, x))

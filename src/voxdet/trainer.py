@@ -10,6 +10,7 @@ run seed, so reruns are bit-identical.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -69,10 +70,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        if not isinstance(self.epochs, numbers.Integral) or self.epochs < 1:
+            raise ValueError("epochs must be an integer >= 1")
         if self.base_lr <= 0:
             raise ValueError("base_lr must be positive")
+        if self.sigma < 0:
+            raise ValueError("sigma must be >= 0")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ValueError("clip_norm must be positive or None")
         if self.checkpoint_every < 0:

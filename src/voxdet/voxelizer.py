@@ -46,6 +46,19 @@ class GridConfig:
         )
 
 
+def voxel_keys(coords: np.ndarray, shape) -> np.ndarray:
+    """Row-major linear key of each (ix, iy, iz) row: sorting keys sorts sites
+    lexicographically."""
+    _, ny, nz = shape
+    return (coords[:, 0] * ny + coords[:, 1]) * nz + coords[:, 2]
+
+
+def voxel_coords(keys: np.ndarray, shape) -> np.ndarray:
+    """Inverse of voxel_keys: the (K, 3) (ix, iy, iz) rows of the keys."""
+    _, ny, nz = shape
+    return np.column_stack([keys // (ny * nz), (keys // nz) % ny, keys % nz])
+
+
 @dataclass
 class SparseVoxelTensor:
     """Active voxel sites plus their feature rows.
@@ -70,13 +83,9 @@ class SparseVoxelTensor:
         if len(self.coords):
             if (self.coords < 0).any() or (self.coords >= shape).any():
                 raise ValueError("voxel coords outside spatial_shape")
-            keys = self._linear_keys()
+            keys = voxel_keys(self.coords, self.spatial_shape)
             if len(np.unique(keys)) != len(keys):
                 raise ValueError("duplicate voxel coords")
-
-    def _linear_keys(self) -> np.ndarray:
-        nx, ny, nz = self.spatial_shape
-        return (self.coords[:, 0] * ny + self.coords[:, 1]) * nz + self.coords[:, 2]
 
     @property
     def num_voxels(self) -> int:
@@ -93,20 +102,14 @@ def voxelize(cloud: PointCloud, grid: GridConfig) -> SparseVoxelTensor:
     Points outside the half-open range are dropped. Output voxels are sorted
     lexicographically by (ix, iy, iz) so the result is deterministic.
     """
-    nx, ny, nz = grid.spatial_shape
     lo = np.asarray(grid.range_min)
     vs = np.asarray(grid.voxel_size)
-    if len(cloud) == 0:
-        return SparseVoxelTensor(np.zeros((0, 3), np.int64), Tensor(np.zeros((0, 3))), grid.spatial_shape)
     idx = np.floor((cloud.xyz - lo) / vs).astype(np.int64)
-    shape = np.array([nx, ny, nz])
-    keep = ((idx >= 0) & (idx < shape)).all(axis=1)
+    keep = ((idx >= 0) & (idx < np.asarray(grid.spatial_shape))).all(axis=1)
     idx = idx[keep]
     xyz = cloud.xyz[keep]
-    if len(idx) == 0:
-        return SparseVoxelTensor(np.zeros((0, 3), np.int64), Tensor(np.zeros((0, 3))), grid.spatial_shape)
 
-    keys = (idx[:, 0] * ny + idx[:, 1]) * nz + idx[:, 2]
+    keys = voxel_keys(idx, grid.spatial_shape)
     order = np.argsort(keys, kind="stable")  # stable keeps cloud order inside each voxel
     keys_sorted = keys[order]
     xyz_sorted = xyz[order]
@@ -119,8 +122,8 @@ def voxelize(cloud: PointCloud, grid: GridConfig) -> SparseVoxelTensor:
     np.add.at(feats, group[kept], xyz_sorted[kept])
     feats /= np.minimum(counts, grid.max_points_per_voxel)[:, None]
 
-    coords = np.column_stack([uniq_keys // (ny * nz), (uniq_keys // nz) % ny, uniq_keys % nz])
-    return SparseVoxelTensor(coords, Tensor(feats), grid.spatial_shape)
+    return SparseVoxelTensor(voxel_coords(uniq_keys, grid.spatial_shape), Tensor(feats),
+                             grid.spatial_shape)
 
 
 def default_grid() -> GridConfig:

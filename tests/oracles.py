@@ -9,6 +9,7 @@ re-exported here.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -27,6 +28,43 @@ def brute_mean_closest(a: np.ndarray, b: np.ndarray) -> float:
                 best = d
         total += best
     return total / len(a)
+
+
+def brute_rulebook(coords, spatial_shape, kernel, stride, padding, submanifold):
+    """Rulebook by exhaustive search over taps x input sites x output sites.
+
+    A pair links input row i and output row o of a tap when
+    input site = output site * stride + tap - padding. Submanifold output
+    sites are the input sites and padding is kernel // 2; strided output
+    sites are the grid sites some pair reaches, in (ix, iy, iz) order.
+    Within a tap, pairs run in ascending output row (submanifold) or
+    ascending input row (strided). Returns (taps, out_coords).
+    """
+    coords = [tuple(int(v) for v in c) for c in coords]
+    if submanifold:
+        padding = tuple(k // 2 for k in kernel)
+        out_shape = spatial_shape
+    else:
+        out_shape = tuple((n + 2 * p - k) // s + 1
+                          for n, k, s, p in zip(spatial_shape, kernel, stride, padding))
+
+    def links(site, out, tap):
+        return all(site[d] == out[d] * stride[d] + tap[d] - padding[d] for d in range(3))
+
+    taps = list(itertools.product(*(range(k) for k in kernel)))
+    if submanifold:
+        out_sites = coords
+    else:
+        grid = list(itertools.product(*(range(n) for n in out_shape)))
+        out_sites = sorted({o for tap in taps for c in coords for o in grid if links(c, o, tap)})
+    pairs = []
+    for tap in taps:
+        found = [(i, o) for i, c in enumerate(coords)
+                 for o, q in enumerate(out_sites) if links(c, q, tap)]
+        found.sort(key=lambda pair: pair[1] if submanifold else pair[0])
+        pairs.append((np.array([i for i, _ in found], dtype=np.int64),
+                      np.array([o for _, o in found], dtype=np.int64)))
+    return pairs, np.array(out_sites, dtype=np.int64).reshape(-1, 3)
 
 
 def dense_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,

@@ -217,6 +217,14 @@ def test_render_bev_scene_out_of_range(pipeline, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scale", ["0", "-1"])
+def test_render_bev_scale_must_be_positive(scale, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["render-bev", "--config", str(tmp_path / "run.yaml"), "--scale", scale])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
 def test_render_bev_runs_the_live_branch_once_per_scene(pipeline, monkeypatch,
                                                          capsys):
     calls = []
@@ -332,6 +340,32 @@ def test_thread_env_rejected_in_subprocess():
     assert "VOXDET_THREADS" in proc.stderr
 
 
+# Calls each function that has a post hook once with spans on: the hooks
+# read attributes of the arguments and results (a rulebook's num_pairs, say),
+# which only a call exercises.
+_TRACED_CALLS = """
+import os, tempfile
+import numpy as np
+import tracing
+from voxdet import detection_head, engine, sparse_conv
+from voxdet.geometry import Box3D
+
+tracer = tracing.Tracer()
+tracing.instrument(tracer)
+tracer.spans_on = True
+row = [4.0, 0.0, -1.0, 3.9, 1.6, 1.56, 0.0]
+sparse_conv.build_rulebook(np.zeros((1, 3)), (2, 2, 2), 1)
+detection_head.assign_targets(np.array([row]), [Box3D(*row)])
+detection_head.nms_bev([Box3D(*row)], [1.0])
+with tempfile.TemporaryDirectory() as tmp:
+    engine.save_checkpoint(os.path.join(tmp, "w.ckpt"), {"w": np.ones(2)})
+metrics = tracing.layer_metrics(tracer, 1, 1.0)
+for name in ("sparse_conv.build_rulebook.pairs", "detection_head.assign_targets.pairs",
+             "detection_head.nms_bev.candidates", "engine.checkpoint.bytes"):
+    assert metrics[name]["value"] > 0, name
+"""
+
+
 def test_benchmark_hooks_find_every_traced_name():
     # perfbench wraps voxdet functions by module and name; a rename or
     # deletion in src must fail here rather than in a traced benchmark run
@@ -340,6 +374,9 @@ def test_benchmark_hooks_find_every_traced_name():
     proc = subprocess.run(
         [sys.executable, "-c", "import tracing; tracing.instrument(tracing.Tracer())"],
         capture_output=True, text=True, env=_child_env(perfbench))
+    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run([sys.executable, "-c", _TRACED_CALLS],
+                          capture_output=True, text=True, env=_child_env(perfbench))
     assert proc.returncode == 0, proc.stderr
 
 

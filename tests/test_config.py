@@ -115,7 +115,13 @@ def test_anchor_threshold_ordering_enforced():
     "eval:\n  nms_iou: -1\n",
     "eval:\n  score_threshold: 2\n",
     "eval:\n  iou_threshold: 0\n",
-], ids=["codec", "count_mode", "nms_iou", "score_threshold", "iou_threshold"])
+    "train:\n  sigma: -1\n",
+    "train:\n  seed: -1\n",
+    "train:\n  epochs: 1.5\n",
+    "network:\n  embed_channels: 0\n",
+    "network:\n  deform_kernel: -1\n",
+], ids=["codec", "count_mode", "nms_iou", "score_threshold", "iou_threshold",
+        "sigma", "seed", "epochs", "embed_channels", "deform_kernel"])
 def test_out_of_range_values_are_rejected_at_load(text):
     with pytest.raises(ValueError):
         loads_config(text)

@@ -112,3 +112,21 @@ def test_ppm_reader_rejects_junk(tmp_path):
         read_ppm(trunc)
     with pytest.raises(ValueError, match="uint8"):
         write_ppm(tmp_path / "x.ppm", np.zeros((2, 2, 3)))
+
+
+class _UnwritableImage(np.ndarray):
+    """Passes write_ppm's checks, then fails once the header is written."""
+
+    def tobytes(self, order="C"):
+        raise OSError("disk full")
+
+
+def test_ppm_write_failing_midway_keeps_previous(tmp_path):
+    path = tmp_path / "bev.ppm"
+    img = render_scene(PointCloud(np.zeros((0, 4))), [], [], mini_grid(), 1)
+    write_ppm(path, img)
+    before = path.read_bytes()
+    with pytest.raises(OSError, match="disk full"):
+        write_ppm(path, np.zeros((2, 2, 3), np.uint8).view(_UnwritableImage))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bev.ppm"]

@@ -15,7 +15,7 @@ from voxdet.sparse_conv import (
     to_dense,
 )
 from voxdet.voxelizer import SparseVoxelTensor
-from oracles import dense_conv3d
+from oracles import brute_rulebook, dense_conv3d
 
 
 def make_sparse(coords, feats, shape):
@@ -90,6 +90,37 @@ def test_strided_support_matches_occupancy_oracle():
     got = {tuple(c) for c in rb.out_coords}
     assert got == {tuple(c) for c in want}
     assert rb.out_spatial_shape == (4, 4, 2)
+
+
+# (mode, spatial shape, active sites, kernel, stride, padding)
+RULEBOOK_CASES = {
+    "sub_3x3x3": (SUBMANIFOLD, (5, 4, 3), 12, (3, 3, 3), (1, 1, 1), None),
+    "sub_1x3x5": (SUBMANIFOLD, (6, 5, 4), 20, (1, 3, 5), (1, 1, 1), None),
+    "sub_1x1x1": (SUBMANIFOLD, (4, 4, 4), 10, (1, 1, 1), (1, 1, 1), None),
+    "sub_empty": (SUBMANIFOLD, (4, 4, 4), 0, (3, 3, 3), (1, 1, 1), None),
+    "strided_3x3x3": (STRIDED, (6, 6, 4), 15, (3, 3, 3), (2, 2, 2), (1, 1, 1)),
+    "strided_even": (STRIDED, (7, 5, 5), 20, (2, 3, 2), (2, 1, 3), (0, 1, 1)),
+    "strided_z_collapse": (STRIDED, (4, 4, 5), 12, (1, 1, 3), (1, 1, 2), (0, 0, 0)),
+    "strided_1x1x1": (STRIDED, (4, 4, 4), 8, (1, 1, 1), (1, 1, 1), (0, 0, 0)),
+    "strided_empty": (STRIDED, (4, 4, 4), 0, (3, 3, 3), (2, 2, 2), (1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("case", RULEBOOK_CASES)
+def test_rulebook_pairs_match_brute_force(case):
+    # pins the pair set and the pair order; the weight gradient sums in that order
+    mode, shape, n, kernel, stride, padding = RULEBOOK_CASES[case]
+    rng = np.random.default_rng(0)
+    flat = rng.choice(np.prod(shape), size=n, replace=False)  # unsorted sites
+    coords = np.column_stack(np.unravel_index(flat, shape)).astype(np.int64).reshape(-1, 3)
+    rb = build_rulebook(coords, shape, kernel, stride=stride, mode=mode, padding=padding)
+    want, out_coords = brute_rulebook(coords, shape, kernel, stride, padding, mode == SUBMANIFOLD)
+    np.testing.assert_array_equal(rb.out_coords, out_coords)
+    assert len(rb.taps) == len(want)
+    for (got_in, got_out), (want_in, want_out) in zip(rb.taps, want):
+        assert got_in.dtype == got_out.dtype == np.int64
+        np.testing.assert_array_equal(got_in, want_in)
+        np.testing.assert_array_equal(got_out, want_out)
 
 
 # ---------------------------------------------------------------------------
