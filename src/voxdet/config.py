@@ -16,7 +16,7 @@ from .engine import atomic_write
 from .evaluation import METRIC_BEV, METRIC_3D
 from .network import NetworkConfig
 from .trainer import TrainConfig
-from .voxelizer import GridConfig, default_grid, mini_grid
+from .voxelizer import GridConfig, default_grid, mini_grid, require_int
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,8 @@ class ConceptualConfig:
     min_points: int = 8
 
     def __post_init__(self):
-        if self.m_bins < 1:
-            raise ValueError("m_bins must be >= 1")
+        require_int("m_bins", self.m_bins, 1)
+        require_int("min_points", self.min_points, 0)
         if not (0.0 < self.k_percent <= 100.0):
             raise ValueError("k_percent must be in (0, 100]")
 
@@ -48,6 +48,7 @@ class EvalConfig:
     nms_iou: float = NMS_IOU_DEFAULT
 
     def __post_init__(self):
+        require_int("interpolation", self.interpolation, 11)
         if self.interpolation not in (11, 40):
             raise ValueError("interpolation must be 11 or 40")
         if self.metric not in (METRIC_BEV, METRIC_3D):

@@ -221,28 +221,22 @@ def relu(a: Tensor) -> Tensor:
     return _record([a], np.where(mask, a.data, 0.0), lambda g: (g * mask,))
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function that cannot overflow: exp(-|x|) is computed once."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-    def backward(g):
-        return (g * out * (1.0 - out),)
-
-    return _record([a], out, backward)
+    out = _sigmoid(a.data)
+    return _record([a], out, lambda g: (g * out * (1.0 - out),))
 
 
 def softplus(a: Tensor) -> Tensor:
     """log(1 + e^x), computed stably; its derivative is sigmoid(x)."""
     x = a.data
     out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-    def backward(g):
-        s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        return (g * s,)
-
-    return _record([a], out, backward)
+    return _record([a], out, lambda g: (g * _sigmoid(x),))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -361,26 +355,42 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     return _record(inputs, out, backward)
 
 
-def _bilinear_gather(x: np.ndarray, ys: np.ndarray, xs: np.ndarray):
-    """Sample (C, H, W) at fractional coords, zero outside; returns values and
-    the pieces backward needs."""
-    c, h, w = x.shape
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    wy1 = ys - y0
-    wx1 = xs - x0
-    wy0 = 1.0 - wy1
-    wx0 = 1.0 - wx1
-    corners = []
-    for yy, wy in ((y0, wy0), (y0 + 1, wy1)):
-        for xx, wx in ((x0, wx0), (x0 + 1, wx1)):
-            valid = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-            yc = np.clip(yy, 0, h - 1)
-            xc = np.clip(xx, 0, w - 1)
-            vals = x[:, yc, xc] * valid
-            corners.append((vals, wy * wx, yc, xc, valid, wy, wx))
-    sampled = sum(vals * wgt for vals, wgt, *_ in corners)
-    return sampled, corners, (y0, x0, wy0, wy1, wx0, wx1)
+def _bilinear_plan(h: int, w: int, ys: np.ndarray, xs: np.ndarray):
+    """Bilinear sampling plan for M points (ys, xs) of an (H, W) grid.
+
+    Returns `idx` and `wgt`, both (4, M), and the axis fractions
+    (wy0, wy1, wx0, wx1). Row k of `idx` is the flat index y*W + x of each
+    point's corner k, in the order 00, 01, 10, 11, and row k of `wgt` is its
+    weight wy*wx. `idx` addresses a map flattened to (C, H*W + 1) whose last
+    column is zero (`_zero_column`): a corner off the grid points there.
+    """
+    y0, x0 = np.floor(ys).astype(np.int64), np.floor(xs).astype(np.int64)
+    wy1, wx1 = ys - y0, xs - x0
+    wy0, wx0 = 1.0 - wy1, 1.0 - wx1
+    corners = [(yy, wy, xx, wx) for yy, wy in ((y0, wy0), (y0 + 1, wy1))
+               for xx, wx in ((x0, wx0), (x0 + 1, wx1))]
+    idx = np.stack([np.where((yy >= 0) & (yy < h) & (xx >= 0) & (xx < w), yy * w + xx, h * w)
+                    for yy, _, xx, _ in corners])
+    return idx, np.stack([wy * wx for _, wy, _, wx in corners]), (wy0, wy1, wx0, wx1)
+
+
+def _zero_column(x: np.ndarray) -> np.ndarray:
+    """(C, H, W) map flattened to (C, H*W + 1); the extra last column is zero."""
+    return np.pad(x.reshape(x.shape[0], -1), ((0, 0), (0, 1)))
+
+
+def _scatter(d_vals: np.ndarray, idx: np.ndarray, wgt: np.ndarray, shape) -> np.ndarray:
+    """Adjoint of a plan's gather: (C, M) gradients summed onto a (C, H, W) map.
+
+    Each channel's bincount adds in input order: corner 00 over all points,
+    then 01, 10 and 11 (the order `tests/oracles.loop_deform_input_grad`
+    pins). Off-grid corners land in the dropped bin H*W.
+    """
+    c, h, w = shape
+    d_x = np.empty((c, h * w))
+    for ch in range(c):
+        d_x[ch] = np.bincount(idx.ravel(), (wgt * d_vals[ch]).ravel(), h * w + 1)[:h * w]
+    return d_x.reshape(shape)
 
 
 def bilinear_sample(x: Tensor, xs: float, ys: float) -> Tensor:
@@ -388,19 +398,10 @@ def bilinear_sample(x: Tensor, xs: float, ys: float) -> Tensor:
 
     Zero padding outside the pixel grid; differentiable in the map values.
     """
-    ys_a = np.asarray([float(ys)])
-    xs_a = np.asarray([float(xs)])
-    sampled, corners, _ = _bilinear_gather(x.data, ys_a, xs_a)
-    out = sampled[:, 0]
-
-    def backward(g):
-        d_x = np.zeros_like(x.data)
-        for vals, wgt, yc, xc, valid, _, _ in corners:
-            contrib = g[:, None] * (wgt * valid)
-            np.add.at(d_x, (slice(None), yc, xc), contrib)
-        return (d_x,)
-
-    return _record([x], out, backward)
+    idx, wgt, _ = _bilinear_plan(*x.data.shape[1:], np.asarray([float(ys)]), np.asarray([float(xs)]))
+    xz = _zero_column(x.data)
+    out = sum(xz[:, i[0]] * wk[0] for i, wk in zip(idx, wgt))
+    return _record([x], out, lambda g: (_scatter(g[:, None], idx, wgt, x.data.shape),))
 
 
 def deform_conv2d(x: Tensor, weight: Tensor, offsets: Tensor,
@@ -424,13 +425,13 @@ def deform_conv2d(x: Tensor, weight: Tensor, offsets: Tensor,
         raise ValueError(f"offset spatial shape {offsets.data.shape[1:]} != output {(ho, wo)}")
 
     oy, ox = np.meshgrid(np.arange(ho), np.arange(wo), indexing="ij")
-    taps_y = np.repeat(np.arange(kh), kw)
-    taps_x = np.tile(np.arange(kw), kh)
+    taps_y, taps_x = np.divmod(np.arange(n), kw)
     # (N, ho, wo) absolute sampling coordinates
     ys = (oy[None] * stride + taps_y[:, None, None] - padding) + offsets.data[0::2]
     xs = (ox[None] * stride + taps_x[:, None, None] - padding) + offsets.data[1::2]
-    sampled, corners, frac = _bilinear_gather(x.data, ys, xs)  # (C_in, N, ho, wo)
-    s_mat = sampled.reshape(c_in * n, ho * wo)
+    idx, wgt, (wy0, wy1, wx0, wx1) = _bilinear_plan(h, w, ys.ravel(), xs.ravel())
+    xz = _zero_column(x.data)
+    s_mat = sum(xz[:, i] * wk for i, wk in zip(idx, wgt)).reshape(c_in * n, ho * wo)
     w_mat = weight.data.reshape(c_out, -1)
     out = w_mat @ s_mat
     if bias is not None:
@@ -440,20 +441,16 @@ def deform_conv2d(x: Tensor, weight: Tensor, offsets: Tensor,
     def backward(g):
         g_mat = g.reshape(c_out, -1)
         d_w = (g_mat @ s_mat.T).reshape(weight.data.shape)
-        d_sampled = (w_mat.T @ g_mat).reshape(c_in, n, ho, wo)
-        d_x = np.zeros_like(x.data)
-        corner_vals = {}
-        for key, (vals, wgt, yc, xc, valid, wy, wx) in zip(("00", "01", "10", "11"), corners):
-            contrib = d_sampled * (wgt * valid)
-            np.add.at(d_x, (slice(None), yc, xc), contrib)
-            corner_vals[key] = vals
-        _, _, wy0, wy1, wx0, wx1 = frac
-        v00, v01, v10, v11 = (corner_vals[k] for k in ("00", "01", "10", "11"))
-        ds_dy = (v10 - v00) * wx0 + (v11 - v01) * wx1
-        ds_dx = (v01 - v00) * wy0 + (v11 - v10) * wy1
-        d_off = np.zeros_like(offsets.data)
-        d_off[0::2] = (d_sampled * ds_dy).sum(axis=0)
-        d_off[1::2] = (d_sampled * ds_dx).sum(axis=0)
+        d_sampled = (w_mat.T @ g_mat).reshape(c_in, -1)
+        d_x = _scatter(d_sampled, idx, wgt, x.data.shape)
+        # corners are read again one channel at a time, so no (C, M) corner
+        # array is held; the channel sum is then one reduction over axis 1
+        d_off = np.empty((2, c_in, n * ho * wo))
+        for ch in range(c_in):
+            v00, v01, v10, v11 = xz[ch][idx]
+            d_off[0, ch] = d_sampled[ch] * ((v10 - v00) * wx0 + (v11 - v01) * wx1)
+            d_off[1, ch] = d_sampled[ch] * ((v01 - v00) * wy0 + (v11 - v10) * wy1)
+        d_off = d_off.sum(axis=1).reshape(2, n, ho, wo).swapaxes(0, 1).reshape(offsets.data.shape)
         if bias is None:
             return d_x, d_w, d_off
         return d_x, d_w, d_off, g_mat.sum(axis=1)

@@ -17,7 +17,7 @@ from .detection_head import ANCHOR_YAWS
 from .engine import Tensor
 from .geometry import PointCloud
 from .sparse_conv import STRIDED, SUBMANIFOLD, build_rulebook, sparse_conv, squeeze_height, to_dense
-from .voxelizer import GridConfig, SparseVoxelTensor, mini_grid, voxelize
+from .voxelizer import GridConfig, SparseVoxelTensor, mini_grid, require_int, voxelize
 
 SPATIAL_DOWNSAMPLE = 8  # three stride-2 stages
 
@@ -45,10 +45,12 @@ class NetworkConfig:
                 f"grid BEV dims {nx}x{ny} must be divisible by {SPATIAL_DOWNSAMPLE}")
         if len(self.stage_channels) != 4:
             raise ValueError("stage_channels must list four stages")
-        if self.embed_channels < 1:
-            raise ValueError("embed_channels must be >= 1")
-        if self.deform_kernel < 1 or self.deform_kernel % 2 == 0:
-            raise ValueError("deform_kernel must be odd and >= 1")
+        for i, channels in enumerate(self.stage_channels):
+            require_int(f"stage_channels[{i}]", channels, 1)
+        for name in ("embed_channels", "deform_kernel", "adapt_channels", "head_channels"):
+            require_int(name, getattr(self, name), 1)
+        if self.deform_kernel % 2 == 0:
+            raise ValueError("deform_kernel must be odd")
 
     @property
     def bev_shape(self) -> tuple[int, int]:

@@ -10,7 +10,6 @@ run seed, so reruns are bit-identical.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -49,6 +48,7 @@ from .network import (
     pfe_forward,
     validate_params,
 )
+from .voxelizer import require_int
 
 _PHASE_CFG = 1
 _PHASE_PAIR = 2
@@ -68,20 +68,15 @@ class TrainConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not isinstance(self.epochs, numbers.Integral) or self.epochs < 1:
-            raise ValueError("epochs must be an integer >= 1")
+        for name, minimum in (("batch_size", 1), ("epochs", 1), ("seed", 0),
+                              ("checkpoint_every", 0)):
+            require_int(name, getattr(self, name), minimum)
         if self.base_lr <= 0:
             raise ValueError("base_lr must be positive")
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
         if self.clip_norm is not None and self.clip_norm <= 0:
             raise ValueError("clip_norm must be positive or None")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0")
         if self.count_mode not in (COUNT_FOREGROUND, COUNT_NONZERO):
             raise ValueError(f"count_mode must be '{COUNT_FOREGROUND}' or '{COUNT_NONZERO}'")
         if self.codec not in (CONVENTION_PRINTED, CONVENTION_LINEAGE):

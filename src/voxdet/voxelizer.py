@@ -7,12 +7,19 @@ kept x, y, z coordinates: three channels, no learned per-point encoder.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import Tensor
 from .geometry import PointCloud
+
+
+def require_int(name: str, value, minimum: int) -> None:
+    """Reject a config value that is not an integer (bools included) or is below `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -28,8 +35,7 @@ class GridConfig:
         object.__setattr__(self, "range_min", tuple(float(v) for v in self.range_min))
         object.__setattr__(self, "range_max", tuple(float(v) for v in self.range_max))
         object.__setattr__(self, "voxel_size", tuple(float(v) for v in self.voxel_size))
-        if self.max_points_per_voxel < 1:
-            raise ValueError("max_points_per_voxel must be >= 1")
+        require_int("max_points_per_voxel", self.max_points_per_voxel, 1)
         for lo, hi, vs in zip(self.range_min, self.range_max, self.voxel_size):
             if vs <= 0:
                 raise ValueError("voxel_size must be positive")

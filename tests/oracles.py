@@ -102,3 +102,36 @@ def numeric_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
         flat[i] = old
         gf[i] = (fp - fm) / (2 * eps)
     return g
+
+
+def loop_deform_input_grad(d_sampled: np.ndarray, offsets: np.ndarray, shape,
+                           stride: int = 1, padding: int = 0) -> np.ndarray:
+    """Input gradient of a deformable convolution, one bilinear read at a time.
+
+    `d_sampled` is (C_in, kH*kW, H_out, W_out), the gradient of each sampled
+    value; `offsets` is laid out as in `deform_conv2d`, and `shape` is the
+    square-kernel input's (C_in, H, W). Loops over corner (00, 01, 10, 11),
+    then channel, tap and output pixel, adding each weighted gradient into
+    the corner pixel when that pixel is on the grid. This is the summation
+    order `deform_conv2d` keeps, so the two agree bit for bit.
+    """
+    c_in, h, w = shape
+    _, n_taps, ho, wo = d_sampled.shape
+    k = math.isqrt(n_taps)
+    d_x = np.zeros(shape)
+    for cy, cx in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        for c in range(c_in):
+            for n in range(n_taps):
+                ky, kx = divmod(n, k)
+                for oy in range(ho):
+                    for ox in range(wo):
+                        y = (oy * stride + ky - padding) + offsets[2 * n, oy, ox]
+                        x = (ox * stride + kx - padding) + offsets[2 * n + 1, oy, ox]
+                        y0, x0 = math.floor(y), math.floor(x)
+                        yy, xx = y0 + cy, x0 + cx
+                        if not (0 <= yy < h and 0 <= xx < w):
+                            continue
+                        wy = y - y0 if cy else 1.0 - (y - y0)
+                        wx = x - x0 if cx else 1.0 - (x - x0)
+                        d_x[c, yy, xx] += d_sampled[c, n, oy, ox] * (wy * wx)
+    return d_x

@@ -120,8 +120,23 @@ def test_anchor_threshold_ordering_enforced():
     "train:\n  epochs: 1.5\n",
     "network:\n  embed_channels: 0\n",
     "network:\n  deform_kernel: -1\n",
+    "train:\n  batch_size: 1.5\n",
+    "train:\n  checkpoint_every: 0.5\n",
+    "network:\n  adapt_channels: 0\n",
+    "network:\n  head_channels: 0\n",
+    "network:\n  stage_channels: [16, 32, 0, 128]\n",
+    "network:\n  head_channels: 1.5\n",
+    "network:\n  embed_channels: 1.5\n",
+    "conceptual:\n  m_bins: 1.5\n",
+    "conceptual:\n  min_points: -1\n",
+    "eval:\n  interpolation: 11.0\n",
+    "grid:\n  range_min: [0, -16, -2]\n  range_max: [32, 16, 2]\n"
+    "  voxel_size: [0.5, 0.5, 0.5]\n  max_points_per_voxel: 1.5\n",
 ], ids=["codec", "count_mode", "nms_iou", "score_threshold", "iou_threshold",
-        "sigma", "seed", "epochs", "embed_channels", "deform_kernel"])
+        "sigma", "seed", "epochs", "embed_channels", "deform_kernel",
+        "batch_size_float", "checkpoint_every_float", "adapt_channels", "head_channels",
+        "stage_channels", "head_channels_float", "embed_channels_float", "m_bins_float",
+        "min_points", "interpolation_float", "max_points_per_voxel_float"])
 def test_out_of_range_values_are_rejected_at_load(text):
     with pytest.raises(ValueError):
         loads_config(text)

@@ -28,7 +28,7 @@ from voxdet.engine import (
     tmean,
     tsum,
 )
-from oracles import dense_conv2d, numeric_gradient
+from oracles import dense_conv2d, loop_deform_input_grad, numeric_gradient
 
 
 def rand(shape, seed, lo=-1.0, hi=1.0):
@@ -292,6 +292,61 @@ def test_grad_deform_conv2d():
                  requires_grad=True)
     b = Tensor(rng.uniform(-1, 1, (2,)), requires_grad=True)
     _gc(lambda x, w, off, b: tsum(deform_conv2d(x, w, off, b)), [x, w, off, b], tol=1e-5)
+
+
+def _deform_case(seed, c_in=3, c_out=2, size=6, stride=1, padding=1):
+    """Random input, 3x3 weights, upstream gradient and offsets that mix
+    fractional, integer and far-off-grid sampling positions."""
+    rng = np.random.default_rng(seed)
+    ho = (size + 2 * padding - 3) // stride + 1
+    x = rng.uniform(-1, 1, (c_in, size, size))
+    w = rng.uniform(-1, 1, (c_out, c_in, 3, 3))
+    g = rng.uniform(-1, 1, (c_out, ho, ho))
+    off = rng.uniform(-2.5, 2.5, (18, ho, ho))
+    pick = rng.random(off.shape)
+    off[pick < 0.3] = np.round(off[pick < 0.3])
+    off[pick > 0.85] *= 8.0
+    return x, w, g, off
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_deform_input_grad_matches_loop_oracle_bit_for_bit(seed):
+    stride, padding = (1, 1) if seed % 2 else (2, 2)
+    x, w, g, off = _deform_case(seed, stride=stride, padding=padding)
+    xt = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        out = deform_conv2d(xt, Tensor(w), Tensor(off), stride=stride, padding=padding)
+        tape.backward(out, seed=g)
+    c_in = x.shape[0]
+    d_sampled = (w.reshape(w.shape[0], -1).T @ g.reshape(g.shape[0], -1)).reshape(
+        c_in, 9, *g.shape[1:])
+    want = loop_deform_input_grad(d_sampled, off, x.shape, stride=stride, padding=padding)
+    assert np.array_equal(xt.grad, want)
+
+
+def test_deform_offset_grad_at_integer_positions_is_the_right_difference():
+    # a zero-initialised offset conv samples at integer positions, where the
+    # bilinear read has a kink; the tape must give the right-sided slope
+    x, w, g, off = _deform_case(50)
+    off = np.round(off)
+    off[0:2, 0, :] = 0.0  # tap (0, 0) of the top row reads row -1: its far corner is row 0
+    off[8:10, -1, :] = 0.0  # tap (1, 1) of the bottom row reads the last row: far corner off
+
+    def loss(o):
+        return float((deform_conv2d(Tensor(x), Tensor(w), Tensor(o), padding=1).data * g).sum())
+
+    ot = Tensor(off.copy(), requires_grad=True)
+    with Tape() as tape:
+        tape.backward(deform_conv2d(Tensor(x), Tensor(w), ot, padding=1), seed=g)
+    eps = 1e-6
+    base = loss(off)
+    right = np.zeros_like(off)
+    for i in range(off.size):
+        bumped = off.copy()
+        bumped.flat[i] += eps
+        right.flat[i] = (loss(bumped) - base) / eps
+    np.testing.assert_allclose(ot.grad, right, rtol=0, atol=1e-6)
+    assert np.abs(right).max() > 0.1
 
 
 def test_grad_bilinear_sample():
