@@ -7,7 +7,7 @@ a config file fails loudly instead of silently running defaults.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import yaml
 
@@ -121,6 +121,10 @@ def _build_section(name: str, cls, raw: dict) -> object:
     for key in raw:
         if key not in known:
             raise ValueError(f"unknown key '{key}' in section '{name}'")
+    missing = [f.name for f in fields(cls) if f.name in known and f.name not in raw
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"section '{name}' is missing required keys: {', '.join(missing)}")
     kwargs = {k: tuple(v) if k in _TUPLE_KEYS else v for k, v in raw.items()}
     return kwargs if name == "network" else cls(**kwargs)
 

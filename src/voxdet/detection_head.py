@@ -15,7 +15,7 @@ import numpy as np
 
 from . import engine
 from .engine import Tensor
-from .geometry import Box3D, normalize_angle, rotated_iou_bev
+from .geometry import Box3D, normalize_angle, rotated_iou_bev_many
 from .voxelizer import GridConfig
 
 ANCHOR_DIMS = (3.9, 1.6, 1.56)
@@ -147,14 +147,6 @@ def decode_box(anchor: Box3D, deltas,
                  normalize_angle(anchor.yaw + dyaw))
 
 
-def _maybe_iou(a: Box3D, b: Box3D) -> float:
-    # circumcircle gate: disjoint circles mean disjoint rectangles
-    reach = (math.hypot(a.l, a.w) + math.hypot(b.l, b.w)) / 2.0
-    if (a.cx - b.cx) ** 2 + (a.cy - b.cy) ** 2 > reach * reach:
-        return 0.0
-    return rotated_iou_bev(a, b)
-
-
 @dataclass(frozen=True)
 class TargetAssignment:
     """Per-anchor labels, matched box index, and encoded regression targets."""
@@ -178,7 +170,8 @@ def assign_targets(anchors: np.ndarray, gts: Sequence[Box3D],
     highest-IoU anchor positive (if that IoU is nonzero) so no box goes
     unclaimed; boxes are processed in order and a later box may retarget
     an anchor forced by an earlier one, but never one already positive by
-    threshold.
+    threshold.  Each box's IoU column comes from one `rotated_iou_bev_many`
+    call, which gives 0 to anchors outside the box's circumcircle gate.
     """
     n = len(anchors)
     labels = np.full(n, NEGATIVE, dtype=np.int64)
@@ -187,11 +180,9 @@ def assign_targets(anchors: np.ndarray, gts: Sequence[Box3D],
     if not gts:
         return TargetAssignment(labels, matched, deltas)
 
-    anchor_boxes = [Box3D(*row) for row in anchors]
     iou = np.zeros((n, len(gts)), dtype=np.float64)
-    for a, abox in enumerate(anchor_boxes):
-        for g, gbox in enumerate(gts):
-            iou[a, g] = _maybe_iou(abox, gbox)
+    for g, gbox in enumerate(gts):
+        iou[:, g] = rotated_iou_bev_many(gbox.as_array(), anchors)
 
     best_iou = iou.max(axis=1)
     best_gt = iou.argmax(axis=1)
@@ -208,7 +199,7 @@ def assign_targets(anchors: np.ndarray, gts: Sequence[Box3D],
             matched[a] = g
 
     for a in np.flatnonzero(labels == POSITIVE):
-        deltas[a] = encode_box(anchor_boxes[a], gts[matched[a]], convention)
+        deltas[a] = encode_box(Box3D(*anchors[a]), gts[matched[a]], convention)
     return TargetAssignment(labels, matched, deltas)
 
 
@@ -266,15 +257,25 @@ def nms_bev(boxes: Sequence[Box3D], scores,
             iou_threshold: float = NMS_IOU_DEFAULT) -> np.ndarray:
     """Greedy rotated-BEV suppression; returns kept indices, best first.
 
-    A box is dropped when its IoU with an already kept box exceeds the
-    threshold.  Score ties break toward the lower index.
+    A box is kept exactly when no kept box of higher rank overlaps it by more
+    than the threshold. Rank is falling score, and score ties break toward
+    the lower index. Each kept box suppresses, in one `rotated_iou_bev_many`
+    call, every later live box; pairs whose circumcircles are disjoint are
+    gated out there with IoU 0. That IoU agrees with the scalar
+    `rotated_iou_bev` to about 1e-14, so the kept set can differ from a
+    scalar greedy pass only on an IoU within that distance of the threshold.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if len(boxes) != len(scores):
         raise ValueError("boxes and scores must align")
     order = np.argsort(-scores, kind="stable")
+    rows = np.array([boxes[i].as_array() for i in order]).reshape(-1, 7)
+    alive = np.ones(len(order), dtype=bool)
     kept: list[int] = []
-    for i in order:
-        if all(_maybe_iou(boxes[i], boxes[k]) <= iou_threshold for k in kept):
-            kept.append(int(i))
+    for rank in range(len(order)):
+        if not alive[rank]:
+            continue
+        kept.append(int(order[rank]))
+        later = rank + 1 + np.flatnonzero(alive[rank + 1:])
+        alive[later[rotated_iou_bev_many(rows[rank], rows[later]) > iou_threshold]] = False
     return np.asarray(kept, dtype=np.int64)

@@ -142,6 +142,14 @@ def test_out_of_range_values_are_rejected_at_load(text):
         loads_config(text)
 
 
+@pytest.mark.parametrize("text", ["grid:\n  max_points_per_voxel: 3\n", "grid: {}\n"],
+                         ids=["grid_one_key", "grid_empty"])
+def test_partial_grid_section_names_its_missing_keys(text):
+    with pytest.raises(ValueError, match="section 'grid' is missing required keys: "
+                                         "range_min, range_max, voxel_size"):
+        loads_config(text)
+
+
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 

@@ -203,6 +203,44 @@ def test_assign_matches_brute_force_oracle():
     assert np.isfinite(out.deltas).all()
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_assign_matches_oracle_on_a_16x16_grid(seed):
+    # 2 m pitch: each box meets a handful of the 512 anchors.
+    grid = GridConfig((0, -16, -2), (32, 16, 0), (0.5, 0.5, 0.5))
+    anchors = generate_anchors((16, 16), grid)
+    rng = np.random.default_rng(seed)
+    jitter = rng.uniform(-0.1, 0.1, size=(4, 2))
+    gts = [Box3D(rng.uniform(22, 30), rng.uniform(-14, 14), -1.0, rng.uniform(3, 4.5),
+                 rng.uniform(1.4, 1.8), 1.5, rng.uniform(-math.pi, math.pi)) for _ in range(3)]
+    gts += [
+        # both best match the yaw-0 anchor at (17, 1), below pos_iou, so the
+        # second retargets the anchor the first forced
+        Box3D(17.9 + jitter[0, 0], 1.3 + jitter[0, 1], -1.0, 3.9, 1.6, 1.56, 0.15),
+        Box3D(16.3 + jitter[1, 0], 0.6 + jitter[1, 1], -1.0, 3.9, 1.6, 1.56, -0.1),
+        # left of the grid: only the yaw-0 anchor at (1, -9) reaches it
+        Box3D(-0.5 + jitter[2, 0], -9.0 + jitter[2, 1], -1.0, 0.3, 0.3, 1.5, 0.4),
+        # off the grid: overlaps nothing, forces nothing
+        Box3D(60.0, 40.0 + jitter[3, 1], -1.0, 3.9, 1.6, 1.56, 0.3),
+    ]
+    out = assign_targets(anchors, gts)
+    labels, matched = oracle_assign(anchors, gts, 0.6, 0.45)
+    np.testing.assert_array_equal(out.labels, labels)
+    np.testing.assert_array_equal(out.matched_gt, matched)
+    want = np.zeros_like(out.deltas)
+    for a in np.flatnonzero(out.labels == POSITIVE):
+        want[a] = encode_box(Box3D(*anchors[a]), gts[matched[a]])
+    assert np.array_equal(out.deltas, want)
+
+    iou = np.array([[rotated_iou_bev(Box3D(*row), gt) for gt in gts[3:]] for row in anchors])
+    shared = int(iou[:, 0].argmax())
+    assert shared == int(iou[:, 1].argmax()) and iou[shared, :2].max() < 0.6
+    assert out.labels[shared] == POSITIVE and out.matched_gt[shared] == 4
+    assert not (out.matched_gt == 3).any()
+    single = np.flatnonzero(iou[:, 2] > 0)
+    assert len(single) == 1 and out.matched_gt[single[0]] == 5
+    assert not iou[:, 3].any() and not (out.matched_gt == 6).any()
+
+
 def test_every_overlapped_gt_claims_an_anchor():
     rng = np.random.default_rng(2)
     grid = flat_grid()
@@ -375,3 +413,25 @@ def test_nms_matches_reference_on_random_boxes():
                        rng.uniform(-math.pi, math.pi)) for _ in range(20)]
         scores = rng.uniform(size=20)
         assert list(nms_bev(boxes, scores, thr)) == reference_nms(boxes, scores, thr)
+
+
+def jittered_anchor_boxes(rng, feature_shape, grid):
+    """Anchor-grid boxes moved, resized and turned a little, as a detector emits."""
+    anchors = generate_anchors(feature_shape, grid)
+    n = len(anchors)
+    return [Box3D(row[0] + dx, row[1] + dy, row[2], row[3] * sl, row[4] * sw, row[5], row[6] + dyaw)
+            for row, dx, dy, sl, sw, dyaw in zip(
+                anchors, rng.normal(0, 0.25, n), rng.normal(0, 0.25, n),
+                np.exp(rng.normal(0, 0.1, n)), np.exp(rng.normal(0, 0.1, n)),
+                rng.normal(0, 0.2, n))]
+
+
+@pytest.mark.parametrize("thr", [0.1, 0.3, 0.5])
+def test_nms_matches_reference_at_mid_grid_density(thr):
+    # 16 x 32 pixels at the mid grid's 0.5 m pitch, two yaws: 1,024 boxes,
+    # each overlapping dozens of others. Scores take 20 values, so most
+    # candidates share their score with others and the tie order matters.
+    rng = np.random.default_rng(int(thr * 10))
+    boxes = jittered_anchor_boxes(rng, (16, 32), GridConfig((0, -4, -2), (16, 4, 0), (0.5, 0.5, 0.5)))
+    scores = rng.integers(0, 20, size=len(boxes)) / 20
+    assert list(nms_bev(boxes, scores, thr)) == reference_nms(boxes, scores, thr)

@@ -15,6 +15,7 @@ from voxdet.geometry import (
     polygon_area,
     rotated_iou_3d,
     rotated_iou_bev,
+    rotated_iou_bev_many,
 )
 from oracles import brute_mean_closest, mc_iou_bev
 
@@ -153,6 +154,53 @@ def test_iou_symmetry_and_range(cx, cy, l1, w1, y1, dx, dy, l2, w2, y2):
     iba = rotated_iou_bev(b, a)
     assert iab == iba  # exact, not approximate
     assert 0.0 <= iab <= 1.0
+
+
+def _many(box, others):
+    got = rotated_iou_bev_many(box.as_array(), np.array([b.as_array() for b in others]))
+    assert got.shape == (len(others),)
+    assert np.isfinite(got).all() and (got >= 0.0).all() and (got <= 1.0).all()
+    return got
+
+
+def test_iou_many_matches_scalar_on_random_pairs():
+    rng = np.random.default_rng(12)
+    overlapping = 0
+    for _ in range(200):
+        a = Box3D(rng.uniform(-20, 20), rng.uniform(-20, 20), 0, rng.uniform(0.5, 5),
+                  rng.uniform(0.5, 3), 1.0, rng.uniform(-math.pi, math.pi))
+        others = [Box3D(a.cx + rng.uniform(-4, 4), a.cy + rng.uniform(-4, 4), 0,
+                        rng.uniform(0.5, 5), rng.uniform(0.5, 3), 1.0,
+                        rng.uniform(-math.pi, math.pi)) for _ in range(10)]
+        want = np.array([rotated_iou_bev(a, b) for b in others])
+        np.testing.assert_allclose(_many(a, others), want, rtol=0, atol=1e-12)
+        overlapping += int((want > 0).sum())
+    assert overlapping > 500
+
+
+def test_iou_many_hand_cases():
+    a = Box3D(1.0, 2.0, 0.0, 3.9, 1.6, 1.56, 0.3)
+    square = Box3D(-3.0, 4.0, 0.0, 2.0, 2.0, 1.0, 0.7)
+    cases = [
+        (a, a, 1.0),                                                    # identical
+        (square, Box3D(-3.0, 4.0, 0.0, 2.0, 2.0, 1.0, 0.7 + math.pi / 2), 1.0),  # same square
+        (a, Box3D(1.0, 2.0, 0.0, 2.0, 1.0, 1.0, 0.3), 2.0 / (3.9 * 1.6)),  # nested
+        (Box3D(0, 0, 0, 4, 2, 1, 0), Box3D(4, 0, 0, 4, 2, 1, 0), 0.0),   # shared edge
+        (Box3D(0, 0, 0, 4, 2, 1, 0), Box3D(4, 2, 0, 4, 2, 1, 0), 0.0),   # shared corner
+        (Box3D(0, 0, 0, 4, 2, 1, 0), Box3D(1, 0, 0, 4, 2, 1, 0), 6.0 / 10.0),  # collinear edges
+        (Box3D(0, 0, 0, 4, 2, 1, 0), Box3D(1, 0.5, 0, 4, 2, 1, 0), 4.5 / 11.5),  # parallel edges
+        (Box3D(0, 0, 0, 4, 2, 1, 0), Box3D(0, 0, 0, 2, 2, 1, math.pi / 4),
+         (4 - 2 * (math.sqrt(2) - 1) ** 2) / (8 + 4 - (4 - 2 * (math.sqrt(2) - 1) ** 2))),
+        (Box3D(0, 0, 0, 4, 2, 1, 0), Box3D(4.3, 0, 0, 4, 2, 1, 0), 0.0),  # gated in, apart
+        (Box3D(0, 0, 0, 4, 2, 1, 0), Box3D(4.5, 0, 0, 4, 2, 1, 0), 0.0),  # outside the gate
+    ]
+    with np.errstate(all="raise"):
+        for first, second, want in cases:
+            got = _many(first, [second])[0]
+            assert got == pytest.approx(want, abs=1e-12)
+            assert got == pytest.approx(rotated_iou_bev(first, second), abs=1e-12)
+            assert _many(second, [first])[0] == pytest.approx(want, abs=1e-12)
+    assert rotated_iou_bev_many(a.as_array(), np.zeros((0, 7))).shape == (0,)
 
 
 def test_polygon_area_box():
