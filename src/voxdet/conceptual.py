@@ -152,7 +152,8 @@ class ConceptualMatch:
 def refine_and_place(candidate: BankInstance, target_box: Box3D) -> PointCloud:
     """Scale the candidate per axis onto the target box, then pose it."""
     ratios = target_box.dims / candidate.box.dims
-    scaled = PointCloud.from_xyz(candidate.local_points.xyz * ratios,
+    half = target_box.dims / 2  # a point the crop's slack let past a face stays in the box
+    scaled = PointCloud.from_xyz(np.clip(candidate.local_points.xyz * ratios, -half, half),
                                  candidate.local_points.intensity.copy())
     return from_canonical(scaled, target_box)
 

@@ -16,7 +16,7 @@ from .engine import atomic_write
 from .evaluation import METRIC_BEV, METRIC_3D
 from .network import NetworkConfig
 from .trainer import TrainConfig
-from .voxelizer import GridConfig, default_grid, mini_grid, require_int
+from .voxelizer import GridConfig, default_grid, mini_grid, require_float, require_int
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,7 @@ class ConceptualConfig:
     def __post_init__(self):
         require_int("m_bins", self.m_bins, 1)
         require_int("min_points", self.min_points, 0)
+        require_float("k_percent", self.k_percent)
         if not (0.0 < self.k_percent <= 100.0):
             raise ValueError("k_percent must be in (0, 100]")
 
@@ -49,6 +50,8 @@ class EvalConfig:
 
     def __post_init__(self):
         require_int("interpolation", self.interpolation, 11)
+        for name in ("iou_threshold", "score_threshold", "nms_iou"):
+            require_float(name, getattr(self, name))
         if self.interpolation not in (11, 40):
             raise ValueError("interpolation must be 11 or 40")
         if self.metric not in (METRIC_BEV, METRIC_3D):

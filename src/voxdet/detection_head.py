@@ -16,7 +16,7 @@ import numpy as np
 from . import engine
 from .engine import Tensor
 from .geometry import Box3D, normalize_angle, rotated_iou_bev_many
-from .voxelizer import GridConfig
+from .voxelizer import GridConfig, require_float
 
 ANCHOR_DIMS = (3.9, 1.6, 1.56)
 ANCHOR_Z_CENTER = -1.0
@@ -74,6 +74,10 @@ class AnchorConfig:
     negative_iou: float = NEGATIVE_IOU
 
     def __post_init__(self):
+        for i, value in enumerate(self.dims):
+            require_float(f"dims[{i}]", value)
+        for name in ("z_center", "positive_iou", "negative_iou"):
+            require_float(name, getattr(self, name))
         object.__setattr__(self, "dims", tuple(float(v) for v in self.dims))
         if len(self.dims) != 3 or min(self.dims) <= 0:
             raise ValueError("anchor dims must be three positive numbers")
@@ -125,26 +129,38 @@ def encode_box(anchor: Box3D, gt: Box3D,
     ])
 
 
-def decode_box(anchor: Box3D, deltas,
-               convention: str = CONVENTION_PRINTED) -> Box3D:
-    """Exact inverse of encode_box; yaw renormalized to [-pi, pi)."""
-    dx, dy, dz, dl, dw, dh, dyaw = (float(v) for v in deltas)
-    d_a = math.hypot(anchor.l, anchor.w)
+def decode_rows(anchors: np.ndarray, deltas: np.ndarray,
+                convention: str = CONVENTION_PRINTED) -> np.ndarray:
+    """Exact inverse of encode_box on (K, 7) anchor rows and deltas; (K, 7) box rows.
+
+    Each row holds the floats `Box3D` would store for it. So the sizes take
+    `math.exp` and the anchor diagonal `math.hypot`, which numpy does not
+    match bit for bit, and the yaw is wrapped twice, as the scalar decode
+    and then `Box3D` wrapped it (a sum just below -pi wraps to +pi once,
+    and to -pi twice). A row that `Box3D` would reject raises ValueError.
+    """
+    anchors = np.asarray(anchors, dtype=np.float64).reshape(-1, 7)
+    deltas = np.asarray(deltas, dtype=np.float64).reshape(-1, 7)
+    d_a = np.array([math.hypot(l, w) for l, w in anchors[:, 3:5].tolist()])
     if convention == CONVENTION_PRINTED:
-        cx = anchor.cx - dx * d_a
-        cy = anchor.cy - dy * anchor.h
-        cz = anchor.cz - dz * d_a
+        sign, norm = -1.0, np.column_stack([d_a, anchors[:, 5], d_a])
     elif convention == CONVENTION_LINEAGE:
-        cx = anchor.cx + dx * d_a
-        cy = anchor.cy + dy * d_a
-        cz = anchor.cz + dz * anchor.h
+        sign, norm = 1.0, np.column_stack([d_a, d_a, anchors[:, 5]])
     else:
         raise ValueError(f"unknown codec convention {convention!r}")
-    return Box3D(cx, cy, cz,
-                 anchor.l * math.exp(dl),
-                 anchor.w * math.exp(dw),
-                 anchor.h * math.exp(dh),
-                 normalize_angle(anchor.yaw + dyaw))
+    scale = np.reshape([math.exp(v) for v in deltas[:, 3:6].ravel().tolist()], (-1, 3))
+    out = np.column_stack([anchors[:, :3] + sign * deltas[:, :3] * norm,
+                           anchors[:, 3:6] * scale,
+                           normalize_angle(normalize_angle(anchors[:, 6] + deltas[:, 6]))])
+    if not np.isfinite(out).all() or (out[:, 3:6] <= 0).any():
+        raise ValueError("decoded boxes must be finite, with positive dimensions")
+    return out
+
+
+def decode_box(anchor: Box3D, deltas,
+               convention: str = CONVENTION_PRINTED) -> Box3D:
+    """Exact inverse of encode_box for one anchor; yaw renormalized to [-pi, pi)."""
+    return Box3D(*decode_rows(anchor.as_array(), deltas, convention)[0])
 
 
 @dataclass(frozen=True)
@@ -253,23 +269,22 @@ def associate_total_loss(bbox_loss: Tensor, cls_loss: Tensor,
     return engine.add(engine.add(bbox_loss, cls_loss), weighted)
 
 
-def nms_bev(boxes: Sequence[Box3D], scores,
+def nms_bev(boxes: np.ndarray, scores,
             iou_threshold: float = NMS_IOU_DEFAULT) -> np.ndarray:
-    """Greedy rotated-BEV suppression; returns kept indices, best first.
+    """Greedy rotated-BEV suppression of (N, 7) box rows; returns kept indices, best first.
 
     A box is kept exactly when no kept box of higher rank overlaps it by more
     than the threshold. Rank is falling score, and score ties break toward
     the lower index. Each kept box suppresses, in one `rotated_iou_bev_many`
     call, every later live box; pairs whose circumcircles are disjoint are
-    gated out there with IoU 0. That IoU agrees with the scalar
-    `rotated_iou_bev` to about 1e-14, so the kept set can differ from a
-    scalar greedy pass only on an IoU within that distance of the threshold.
+    gated out there with IoU 0.
     """
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 7)
     scores = np.asarray(scores, dtype=np.float64)
     if len(boxes) != len(scores):
         raise ValueError("boxes and scores must align")
     order = np.argsort(-scores, kind="stable")
-    rows = np.array([boxes[i].as_array() for i in order]).reshape(-1, 7)
+    rows = boxes[order]
     alive = np.ones(len(order), dtype=bool)
     kept: list[int] = []
     for rank in range(len(order)):

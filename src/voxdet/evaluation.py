@@ -17,12 +17,12 @@ from .detection_head import (
     CONVENTION_PRINTED,
     NMS_IOU_DEFAULT,
     AnchorConfig,
-    decode_box,
+    decode_rows,
     flatten_cls_map,
     flatten_reg_map,
     nms_bev,
 )
-from .geometry import Box3D, PointCloud, rotated_iou_3d, rotated_iou_bev
+from .geometry import Box3D, PointCloud, rotated_iou_3d_many, rotated_iou_bev_many
 from .engine import Tensor
 from .network import ForwardOutput, NetworkConfig, cfg_forward, pfe_forward
 
@@ -33,12 +33,7 @@ BUCKET_EDGES = (20.0, 40.0)
 BUCKET_NAMES = ("0-20", "20-40", "40+")
 
 
-def _overlap(a: Box3D, b: Box3D, metric: str) -> float:
-    if metric == METRIC_BEV:
-        return rotated_iou_bev(a, b)
-    if metric == METRIC_3D:
-        return rotated_iou_3d(a, b)
-    raise ValueError(f"unknown metric {metric!r}")
+_OVERLAP = {METRIC_BEV: rotated_iou_bev_many, METRIC_3D: rotated_iou_3d_many}
 
 
 @dataclass(frozen=True)
@@ -65,26 +60,26 @@ def match_detections(det_boxes: Sequence[Box3D], scores, gts: Sequence[Box3D],
 
     Returns (order, tp_flags, gt_idx): detection indices sorted by falling
     score (ties keep input order), a parallel bool array marking matches,
-    and the matched ground-truth index per rank (-1 where unmatched).
+    and the matched ground-truth index per rank (-1 where unmatched). Each
+    detection takes the unmatched box it overlaps most, the lowest index on
+    a tie, and matches when that overlap is above 0 and reaches the
+    threshold. The (rank, box) IoU matrix takes one kernel call per box.
     """
+    if metric not in _OVERLAP:
+        raise ValueError(f"unknown metric {metric!r}")
     scores = np.asarray(scores, dtype=np.float64)
     order = np.argsort(-scores, kind="stable")
-    matched = [False] * len(gts)
-    tp = np.zeros(len(order), dtype=bool)
+    rows = np.array([det_boxes[i].as_array() for i in order]).reshape(-1, 7)
+    iou = np.zeros((len(order), len(gts)))
+    for g, gt in enumerate(gts):
+        iou[:, g] = _OVERLAP[metric](gt.as_array(), rows)
     gt_idx = np.full(len(order), -1, dtype=np.int64)
-    for rank, i in enumerate(order):
-        best_iou, best_g = 0.0, -1
-        for g, gt in enumerate(gts):
-            if matched[g]:
-                continue
-            iou = _overlap(det_boxes[i], gt, metric)
-            if iou > best_iou:
-                best_iou, best_g = iou, g
-        if best_g >= 0 and best_iou >= iou_threshold:
-            matched[best_g] = True
-            tp[rank] = True
-            gt_idx[rank] = best_g
-    return order, tp, gt_idx
+    for rank in range(len(order) if len(gts) else 0):
+        g = int(iou[rank].argmax())
+        if iou[rank, g] > 0.0 and iou[rank, g] >= iou_threshold:
+            gt_idx[rank] = g
+            iou[:, g] = -1.0  # taken
+    return order, gt_idx >= 0, gt_idx
 
 
 def interpolated_ap(precision: np.ndarray, recall: np.ndarray,
@@ -152,10 +147,10 @@ def decode_detections(out: ForwardOutput, anchors: np.ndarray,
     keep = np.flatnonzero(scores >= score_threshold)
     if not len(keep):
         return [], np.zeros(0)
-    boxes = [decode_box(Box3D(*anchors[i]), deltas[i], codec) for i in keep]
+    rows = decode_rows(anchors[keep], deltas[keep], codec)
     kept_scores = scores[keep]
-    survivors = nms_bev(boxes, kept_scores, nms_iou)
-    return [boxes[i] for i in survivors], kept_scores[survivors]
+    survivors = nms_bev(rows, kept_scores, nms_iou)
+    return [Box3D(*rows[i]) for i in survivors], kept_scores[survivors]
 
 
 def infer_detections(params: dict, cloud: PointCloud, net_config: NetworkConfig,

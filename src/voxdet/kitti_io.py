@@ -40,17 +40,15 @@ def read_scene_boxes(path: str | os.PathLike) -> list[Box3D]:
     boxes: list[Box3D] = []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
             fields = line.split()
+            if not fields:
+                continue
             if len(fields) != 7:
                 raise ValueError(f"{path}:{lineno}: expected 7 fields, got {len(fields)}")
-            try:
-                cx, cy, cz, l, w, h, yaw = (float(v) for v in fields)
+            try:  # a non-numeric field, or a box that Box3D rejects
+                boxes.append(Box3D(*(float(v) for v in fields)))
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric field: {exc}") from exc
-            boxes.append(Box3D(cx, cy, cz, l, w, h, yaw))
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return boxes
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box3D, PointCloud, box_corners_bev, rotated_iou_bev, rotation_2d
+from .geometry import Box3D, PointCloud, box_corners_bev, rotated_iou_bev_many, rotation_2d
 from .kitti_io import write_scene_dir
 
 CAR_DIMS = (3.9, 1.6, 1.56)
@@ -145,7 +145,8 @@ def _place_cars(recipe: SceneRecipe, rng: np.random.Generator) -> list[Box3D]:
         cand = Box3D(
             rng.uniform(*recipe.x_range), rng.uniform(*recipe.y_range), CAR_Z,
             l * scale, w * scale, h * scale, rng.uniform(-math.pi, math.pi))
-        if all(rotated_iou_bev(cand, b) == 0.0 for b in boxes):
+        placed = np.array([b.as_array() for b in boxes]).reshape(-1, 7)
+        if not rotated_iou_bev_many(cand.as_array(), placed).any():
             boxes.append(cand)
     if len(boxes) < recipe.n_cars:
         raise ValueError("could not place cars without overlap; shrink n_cars")

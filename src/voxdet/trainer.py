@@ -48,7 +48,7 @@ from .network import (
     pfe_forward,
     validate_params,
 )
-from .voxelizer import require_int
+from .voxelizer import require_float, require_int
 
 _PHASE_CFG = 1
 _PHASE_PAIR = 2
@@ -71,6 +71,11 @@ class TrainConfig:
         for name, minimum in (("batch_size", 1), ("epochs", 1), ("seed", 0),
                               ("checkpoint_every", 0)):
             require_int(name, getattr(self, name), minimum)
+        clip = () if self.clip_norm is None else ("clip_norm",)  # None turns clipping off
+        for name in ("base_lr", "sigma", *clip):
+            require_float(name, getattr(self, name))
+        if not isinstance(self.augment, bool):
+            raise ValueError(f"augment must be true or false, got {self.augment!r}")
         if self.base_lr <= 0:
             raise ValueError("base_lr must be positive")
         if self.sigma < 0:

@@ -22,6 +22,12 @@ def require_int(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def require_float(name: str, value) -> None:
+    """Reject a config value that is not a finite number (bools included)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridConfig:
     """Axis-aligned voxel grid; ranges are half-open [min, max) per axis."""

@@ -1,10 +1,10 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately naive: double loops, Monte Carlo sampling,
-dense arrays. Slow but obviously correct, so the fast code in the package
-can be validated against it. The dense conv3d and Monte-Carlo IoU oracles
-live in `voxdet.verify`, which `voxdet selftest` runs too, and are
-re-exported here.
+polygon clipping one box pair at a time, dense arrays. Slow but obviously
+correct, so the fast code in the package can be validated against it. The
+dense conv3d and Monte-Carlo IoU oracles live in `voxdet.verify`, which
+`voxdet selftest` runs too, and are re-exported here.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from voxdet.detection_head import CONVENTION_LINEAGE, CONVENTION_PRINTED
+from voxdet.geometry import Box3D, box_corners_bev
 from voxdet.verify import dense_conv3d, mc_iou_bev  # noqa: F401  (re-exported)
 
 
@@ -135,3 +137,100 @@ def loop_deform_input_grad(d_sampled: np.ndarray, offsets: np.ndarray, shape,
                         wx = x - x0 if cx else 1.0 - (x - x0)
                         d_x[c, yy, xx] += d_sampled[c, n, oy, ox] * (wy * wx)
     return d_x
+
+
+def polygon_area(poly: np.ndarray) -> float:
+    """Shoelace area of a polygon given as an (N, 2) vertex array."""
+    if len(poly) < 3:
+        return 0.0
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)))
+
+
+def clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
+    """Sutherland-Hodgman clip of `subject` by convex CCW polygon `clip`."""
+    output = subject
+    n = len(clip)
+    for i in range(n):
+        if len(output) == 0:
+            break
+        a, b = clip[i], clip[(i + 1) % n]
+        edge = b - a
+        rel = output - a
+        d = edge[0] * rel[:, 1] - edge[1] * rel[:, 0]
+        new_pts = []
+        m = len(output)
+        for j in range(m):
+            k = (j + 1) % m
+            if d[j] >= 0:
+                new_pts.append(output[j])
+            if (d[j] > 0 and d[k] < 0) or (d[j] < 0 and d[k] > 0):
+                t = d[j] / (d[j] - d[k])
+                new_pts.append(output[j] + t * (output[k] - output[j]))
+        output = np.array(new_pts, dtype=np.float64) if new_pts else np.zeros((0, 2))
+    return output
+
+
+def clip_area_bev(a: Box3D, b: Box3D) -> float:
+    """BEV overlap area of two boxes by clipping one's corners with the other's."""
+    # Canonical argument order makes (a, b) and (b, a) give the same bits.
+    if (a.cx, a.cy, a.l, a.w, a.yaw) > (b.cx, b.cy, b.l, b.w, b.yaw):
+        a, b = b, a
+    return polygon_area(clip_polygon(box_corners_bev(a), box_corners_bev(b)))
+
+
+def clip_iou_bev(a: Box3D, b: Box3D) -> float:
+    """Rotated BEV IoU from the clipped overlap polygon."""
+    inter = clip_area_bev(a, b)
+    if inter <= 0.0:
+        return 0.0
+    return inter / (a.l * a.w + b.l * b.w - inter)
+
+
+def clip_iou_3d(a: Box3D, b: Box3D) -> float:
+    """Volumetric IoU of upright boxes: clipped BEV overlap times z-interval overlap."""
+    z_overlap = min(a.cz + a.h / 2, b.cz + b.h / 2) - max(a.cz - a.h / 2, b.cz - b.h / 2)
+    inter = clip_area_bev(a, b) * max(z_overlap, 0.0)
+    if inter <= 0.0:
+        return 0.0
+    return inter / (a.l * a.w * a.h + b.l * b.w * b.h - inter)
+
+
+def decode_box(anchor: Box3D, deltas, convention: str = CONVENTION_PRINTED) -> Box3D:
+    """The box codec's inverse for one anchor, one scalar at a time."""
+    dx, dy, dz, dl, dw, dh, dyaw = (float(v) for v in deltas)
+    d_a = math.hypot(anchor.l, anchor.w)
+    if convention == CONVENTION_PRINTED:
+        cx, cy, cz = anchor.cx - dx * d_a, anchor.cy - dy * anchor.h, anchor.cz - dz * d_a
+    elif convention == CONVENTION_LINEAGE:
+        cx, cy, cz = anchor.cx + dx * d_a, anchor.cy + dy * d_a, anchor.cz + dz * anchor.h
+    else:
+        raise ValueError(f"unknown codec convention {convention!r}")
+    yaw = (anchor.yaw + dyaw + math.pi) % (2.0 * math.pi) - math.pi
+    return Box3D(cx, cy, cz, anchor.l * math.exp(dl), anchor.w * math.exp(dw),
+                 anchor.h * math.exp(dh), yaw)
+
+
+def greedy_match(dets, scores, gts, threshold: float, iou=clip_iou_bev):
+    """Score-descending matching by double loop, as (order, tp, gt_idx) lists.
+
+    Each detection, best score first and the lower index on a tie, takes the
+    untaken box it overlaps most (the first on an IoU tie) when that overlap
+    is above 0 and reaches the threshold.
+    """
+    order = sorted(range(len(dets)), key=lambda i: (-scores[i], i))
+    taken = set()
+    tp, gt_idx = [], []
+    for i in order:
+        best, best_g = 0.0, -1
+        for g, gt in enumerate(gts):
+            if g not in taken:
+                value = iou(dets[i], gt)
+                if value > best:
+                    best, best_g = value, g
+        hit = best_g >= 0 and best >= threshold
+        if hit:
+            taken.add(best_g)
+        tp.append(hit)
+        gt_idx.append(best_g if hit else -1)
+    return order, tp, gt_idx

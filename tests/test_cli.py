@@ -356,7 +356,7 @@ tracer.spans_on = True
 row = [4.0, 0.0, -1.0, 3.9, 1.6, 1.56, 0.0]
 sparse_conv.build_rulebook(np.zeros((1, 3)), (2, 2, 2), 1)
 detection_head.assign_targets(np.array([row]), [Box3D(*row)])
-detection_head.nms_bev([Box3D(*row)], [1.0])
+detection_head.nms_bev(np.array([row]), [1.0])
 with tempfile.TemporaryDirectory() as tmp:
     engine.save_checkpoint(os.path.join(tmp, "w.ckpt"), {"w": np.ones(2)})
 metrics = tracing.layer_metrics(tracer, 1, 1.0)

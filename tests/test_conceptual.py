@@ -255,6 +255,16 @@ def test_refined_points_inside_target_box():
                              l=rng.uniform(3, 5), w=rng.uniform(1.4, 2), h=rng.uniform(1.2, 1.8))
         placed = refine_and_place(bank.instances[cid], target_box)
         assert len(points_in_box(placed, target_box)) == len(placed)
+    # points_in_box keeps a point 0.98e-9 m past a face when it crops the
+    # candidate; scaled up 10% it must still land inside the target box
+    box = car_box(0.0, 0.0, 0.0)
+    edge = [[box.l / 2 + 0.98e-9, 0.0, 0.0, 0.5], [0.0, box.w / 2 + 0.98e-9, 0.0, 0.5]]
+    cloud = PointCloud(np.vstack([make_car(box, 20, 510), edge]))
+    bank = build_instance_bank([(cloud, [box])], k_percent=100)
+    assert bank.instances[0].point_count == 22
+    target_box = car_box(3.0, -2.0, 0.4, l=box.l * 1.1, w=box.w * 1.1)
+    match = match_candidate(PointCloud(np.vstack(edge)), target_box, bank)
+    assert len(points_in_box(match.model_points, target_box)) == 22
 
 
 def test_compose_no_objects_is_identity():

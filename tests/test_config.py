@@ -132,11 +132,31 @@ def test_anchor_threshold_ordering_enforced():
     "eval:\n  interpolation: 11.0\n",
     "grid:\n  range_min: [0, -16, -2]\n  range_max: [32, 16, 2]\n"
     "  voxel_size: [0.5, 0.5, 0.5]\n  max_points_per_voxel: 1.5\n",
+    "train:\n  base_lr: .nan\n",
+    "train:\n  clip_norm: .nan\n",
+    "anchors:\n  dims: [.inf, 1.6, 1.56]\n",
+    "train:\n  base_lr: \"0.001\"\n",
+    "train:\n  augment: 3\n",
+    "train:\n  sigma: .inf\n",
+    "train:\n  augment: \"yes\"\n",
+    "anchors:\n  dims: [3.9, .nan, 1.56]\n",
+    "anchors:\n  z_center: .nan\n",
+    "anchors:\n  z_center: \"-1\"\n",
+    "anchors:\n  positive_iou: \"0.6\"\n",
+    "anchors:\n  negative_iou: true\n",
+    "eval:\n  iou_threshold: \"0.7\"\n",
+    "eval:\n  score_threshold: .nan\n",
+    "eval:\n  nms_iou: .inf\n",
+    "conceptual:\n  k_percent: \"20\"\n",
 ], ids=["codec", "count_mode", "nms_iou", "score_threshold", "iou_threshold",
         "sigma", "seed", "epochs", "embed_channels", "deform_kernel",
         "batch_size_float", "checkpoint_every_float", "adapt_channels", "head_channels",
         "stage_channels", "head_channels_float", "embed_channels_float", "m_bins_float",
-        "min_points", "interpolation_float", "max_points_per_voxel_float"])
+        "min_points", "interpolation_float", "max_points_per_voxel_float",
+        "base_lr_nan", "clip_norm_nan", "dims_inf", "base_lr_string", "augment_int",
+        "sigma_inf", "augment_string", "dims_nan", "z_center_nan", "z_center_string",
+        "positive_iou_string", "negative_iou_bool", "iou_threshold_string",
+        "score_threshold_nan", "nms_iou_inf", "k_percent_string"])
 def test_out_of_range_values_are_rejected_at_load(text):
     with pytest.raises(ValueError):
         loads_config(text)

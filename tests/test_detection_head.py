@@ -15,6 +15,7 @@ from voxdet.detection_head import (
     associate_total_loss,
     cfg_total_loss,
     decode_box,
+    decode_rows,
     encode_box,
     flatten_cls_map,
     flatten_reg_map,
@@ -24,8 +25,9 @@ from voxdet.detection_head import (
     smooth_l1_loss,
 )
 from voxdet.engine import Tape, Tensor
-from voxdet.geometry import Box3D, rotated_iou_bev
+from voxdet.geometry import Box3D
 from voxdet.voxelizer import GridConfig
+from oracles import clip_iou_bev, decode_box as scalar_decode_box
 
 
 def flat_grid():
@@ -133,12 +135,49 @@ def test_codec_roundtrip_randomized(convention):
         np.testing.assert_allclose(back.as_array(), gt.as_array(), atol=1e-9)
 
 
+@pytest.mark.parametrize("convention", [CONVENTION_PRINTED, CONVENTION_LINEAGE])
+def test_decode_rows_equal_the_scalar_decode(convention):
+    rng = np.random.default_rng(21)
+    anchors = np.array([random_box(rng).as_array() for _ in range(2000)])
+    # anchor yaws near +-pi and yaw deltas up to 2 pi make many sums wrap
+    anchors[::2, 6] = rng.choice([-1.0, 1.0], 1000) * (math.pi - rng.uniform(0, 0.1, 1000))
+    anchors = np.array([Box3D(*a).as_array() for a in anchors])
+    deltas = rng.normal(0, 0.5, (2000, 7))
+    deltas[:, 6] = rng.uniform(-2 * math.pi, 2 * math.pi, 2000)
+    deltas[:4, 6] = [math.pi, -math.pi, 2 * math.pi, -2 * math.pi]
+    # one wrap takes this sum to +pi, and only Box3D's second wrap to -pi
+    anchors[4, 6], deltas[4, 6] = 0.0, np.nextafter(-math.pi, -4.0)
+    rows = decode_rows(anchors, deltas, convention)
+    want = np.array([scalar_decode_box(Box3D(*a), d, convention).as_array()
+                     for a, d in zip(anchors, deltas)])
+    assert np.array_equal(rows, want)
+    assert all(np.array_equal(Box3D(*row).as_array(), row) for row in rows)
+    assert all(decode_box(Box3D(*a), d, convention) == Box3D(*row)
+               for a, d, row in zip(anchors[:50], deltas[:50], rows))
+    assert decode_rows(np.zeros((0, 7)), np.zeros((0, 7)), convention).shape == (0, 7)
+
+
+@pytest.mark.parametrize("column, value", [(3, -800.0), (5, -800.0), (0, math.nan),
+                                           (4, math.inf), (6, math.inf), (1, -math.inf)])
+def test_decode_rows_reject_what_box3d_rejects(column, value):
+    anchors = np.tile(Box3D(3, -2, -1, 3.9, 1.6, 1.56, 0.3).as_array(), (3, 1))
+    deltas = np.zeros((3, 7))
+    deltas[1, column] = value
+    with pytest.raises(ValueError):
+        scalar_decode_box(Box3D(*anchors[1]), deltas[1])
+    with pytest.raises(ValueError):
+        decode_rows(anchors, deltas)
+    assert decode_rows(anchors[[0, 2]], deltas[[0, 2]]).shape == (2, 7)
+
+
 def test_codec_rejects_unknown_convention():
     box = Box3D(0, 0, 0, 1, 1, 1, 0)
     with pytest.raises(ValueError, match="convention"):
         encode_box(box, box, "other")
     with pytest.raises(ValueError, match="convention"):
         decode_box(box, np.zeros(7), "other")
+    with pytest.raises(ValueError, match="convention"):
+        decode_rows(box.as_array(), np.zeros(7), "other")
 
 
 # --- target assignment -----------------------------------------------------
@@ -146,7 +185,7 @@ def test_codec_rejects_unknown_convention():
 def oracle_assign(anchors, gts, pos, neg):
     """Independent restatement of the assignment rules."""
     n, g_count = len(anchors), len(gts)
-    iou = [[rotated_iou_bev(Box3D(*anchors[a]), gts[g]) for g in range(g_count)]
+    iou = [[clip_iou_bev(Box3D(*anchors[a]), gts[g]) for g in range(g_count)]
            for a in range(n)]
     labels = [IGNORED] * n
     matched = [-1] * n
@@ -231,7 +270,7 @@ def test_assign_matches_oracle_on_a_16x16_grid(seed):
         want[a] = encode_box(Box3D(*anchors[a]), gts[matched[a]])
     assert np.array_equal(out.deltas, want)
 
-    iou = np.array([[rotated_iou_bev(Box3D(*row), gt) for gt in gts[3:]] for row in anchors])
+    iou = np.array([[clip_iou_bev(Box3D(*row), gt) for gt in gts[3:]] for row in anchors])
     shared = int(iou[:, 0].argmax())
     assert shared == int(iou[:, 1].argmax()) and iou[shared, :2].max() < 0.6
     assert out.labels[shared] == POSITIVE and out.matched_gt[shared] == 4
@@ -251,7 +290,7 @@ def test_every_overlapped_gt_claims_an_anchor():
                      rng.uniform(-math.pi, math.pi)) for _ in range(3)]
         out = assign_targets(anchors, gts)
         for g, gt in enumerate(gts):
-            ious = [rotated_iou_bev(Box3D(*anchors[a]), gt) for a in range(len(anchors))]
+            ious = [clip_iou_bev(Box3D(*anchors[a]), gt) for a in range(len(anchors))]
             if max(ious) > 0:
                 best = int(np.argmax(ious))
                 assert out.labels[best] == POSITIVE
@@ -388,21 +427,25 @@ def test_total_losses_compose():
 
 # --- nms and detection files -------------------------------------------------
 
+def rows(boxes):
+    return np.array([b.as_array() for b in boxes]).reshape(-1, 7)
+
+
 def reference_nms(boxes, scores, thr):
     order = sorted(range(len(boxes)), key=lambda i: (-scores[i], i))
     kept = []
     for i in order:
-        if all(rotated_iou_bev(boxes[i], boxes[k]) <= thr for k in kept):
+        if all(clip_iou_bev(boxes[i], boxes[k]) <= thr for k in kept):
             kept.append(i)
     return kept
 
 
 def test_nms_trivial_cases():
     box = Box3D(0, 0, 0, 4, 2, 1.5, 0.3)
-    assert list(nms_bev([box], [0.7])) == [0]
+    assert list(nms_bev(rows([box]), [0.7])) == [0]
     twin = Box3D(0, 0, 0, 4, 2, 1.5, 0.3)
-    assert list(nms_bev([box, twin], [0.2, 0.9])) == [1]
-    assert list(nms_bev([box, twin], [0.9, 0.2])) == [0]
+    assert list(nms_bev(rows([box, twin]), [0.2, 0.9])) == [1]
+    assert list(nms_bev(rows([box, twin]), [0.9, 0.2])) == [0]
 
 
 def test_nms_matches_reference_on_random_boxes():
@@ -412,7 +455,7 @@ def test_nms_matches_reference_on_random_boxes():
                        rng.uniform(1, 4), rng.uniform(1, 4), 1,
                        rng.uniform(-math.pi, math.pi)) for _ in range(20)]
         scores = rng.uniform(size=20)
-        assert list(nms_bev(boxes, scores, thr)) == reference_nms(boxes, scores, thr)
+        assert list(nms_bev(rows(boxes), scores, thr)) == reference_nms(boxes, scores, thr)
 
 
 def jittered_anchor_boxes(rng, feature_shape, grid):
@@ -434,4 +477,4 @@ def test_nms_matches_reference_at_mid_grid_density(thr):
     rng = np.random.default_rng(int(thr * 10))
     boxes = jittered_anchor_boxes(rng, (16, 32), GridConfig((0, -4, -2), (16, 4, 0), (0.5, 0.5, 0.5)))
     scores = rng.integers(0, 20, size=len(boxes)) / 20
-    assert list(nms_bev(boxes, scores, thr)) == reference_nms(boxes, scores, thr)
+    assert list(nms_bev(rows(boxes), scores, thr)) == reference_nms(boxes, scores, thr)

@@ -20,6 +20,7 @@ from voxdet.evaluation import (
 from voxdet.geometry import Box3D, PointCloud
 from voxdet.network import NetworkConfig, init_params
 from voxdet.voxelizer import mini_grid
+from oracles import clip_iou_3d, clip_iou_bev, greedy_match
 
 
 def box_at(x, y, yaw=0.0, l=4.0, w=2.0, h=1.5, z=0.0):
@@ -100,6 +101,31 @@ def test_matching_prefers_highest_overlap_gt():
                                             gts, 0.1)
     assert tp2.all()
     assert list(gt_idx2) == [1, 0]
+
+
+@pytest.mark.parametrize("metric, oracle_iou",
+                         [(METRIC_BEV, clip_iou_bev), (METRIC_3D, clip_iou_3d)],
+                         ids=[METRIC_BEV, METRIC_3D])
+def test_matching_equals_a_naive_greedy_matcher(metric, oracle_iou):
+    rng = np.random.default_rng(17)
+    hits = 0
+    for scene in range(60):
+        gts = [Box3D(rng.uniform(0, 20), rng.uniform(-8, 8), rng.uniform(-1.5, -0.5),
+                     rng.uniform(3, 5), rng.uniform(1.4, 2), rng.uniform(1.3, 1.8),
+                     rng.uniform(-math.pi, math.pi)) for _ in range(rng.integers(0, 6))]
+        gts += [gts[i] for i in rng.integers(0, len(gts), 2)] if gts else []  # IoU ties
+        near = [Box3D(*(g.as_array() + rng.normal(0, [0.4, 0.4, 0.2, 0.3, 0.1, 0.1, 0.15])))
+                for g in gts for _ in range(rng.integers(0, 3))]
+        far = [Box3D(rng.uniform(0, 20), rng.uniform(-8, 8), -1, 4, 1.7, 1.5,
+                     rng.uniform(-math.pi, math.pi)) for _ in range(rng.integers(0, 4))]
+        dets = near + far
+        scores = rng.integers(0, 4, len(dets)) / 4  # many tied scores
+        for threshold in (0.3, 0.5, 0.7):
+            order, tp, gt_idx = match_detections(dets, scores, gts, threshold, metric)
+            want = greedy_match(dets, scores, gts, threshold, oracle_iou)
+            assert (list(order), list(tp), list(gt_idx)) == want
+            hits += int(tp.sum())
+    assert hits > 100
 
 
 def test_removing_a_false_positive_never_lowers_ap():

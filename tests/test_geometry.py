@@ -12,12 +12,12 @@ from voxdet.geometry import (
     box_corners_bev,
     normalize_angle,
     points_in_box,
-    polygon_area,
     rotated_iou_3d,
+    rotated_iou_3d_many,
     rotated_iou_bev,
     rotated_iou_bev_many,
 )
-from oracles import brute_mean_closest, mc_iou_bev
+from oracles import brute_mean_closest, clip_iou_3d, clip_iou_bev, mc_iou_bev, polygon_area
 
 
 def test_normalize_angle_range():
@@ -172,7 +172,7 @@ def test_iou_many_matches_scalar_on_random_pairs():
         others = [Box3D(a.cx + rng.uniform(-4, 4), a.cy + rng.uniform(-4, 4), 0,
                         rng.uniform(0.5, 5), rng.uniform(0.5, 3), 1.0,
                         rng.uniform(-math.pi, math.pi)) for _ in range(10)]
-        want = np.array([rotated_iou_bev(a, b) for b in others])
+        want = np.array([clip_iou_bev(a, b) for b in others])
         np.testing.assert_allclose(_many(a, others), want, rtol=0, atol=1e-12)
         overlapping += int((want > 0).sum())
     assert overlapping > 500
@@ -198,9 +198,30 @@ def test_iou_many_hand_cases():
         for first, second, want in cases:
             got = _many(first, [second])[0]
             assert got == pytest.approx(want, abs=1e-12)
-            assert got == pytest.approx(rotated_iou_bev(first, second), abs=1e-12)
+            assert got == pytest.approx(clip_iou_bev(first, second), abs=1e-12)
             assert _many(second, [first])[0] == pytest.approx(want, abs=1e-12)
     assert rotated_iou_bev_many(a.as_array(), np.zeros((0, 7))).shape == (0,)
+
+
+def test_iou_3d_many_matches_clipper_on_random_pairs():
+    # boxes stacked at random heights, so some pairs overlap in BEV but not in z
+    rng = np.random.default_rng(13)
+    overlapping = 0
+    for _ in range(100):
+        a = Box3D(rng.uniform(-20, 20), rng.uniform(-20, 20), rng.uniform(-2, 2),
+                  rng.uniform(0.5, 5), rng.uniform(0.5, 3), rng.uniform(0.5, 2),
+                  rng.uniform(-math.pi, math.pi))
+        others = [Box3D(a.cx + rng.uniform(-4, 4), a.cy + rng.uniform(-4, 4),
+                        a.cz + rng.uniform(-2, 2), rng.uniform(0.5, 5), rng.uniform(0.5, 3),
+                        rng.uniform(0.5, 2), rng.uniform(-math.pi, math.pi)) for _ in range(10)]
+        got = rotated_iou_3d_many(a.as_array(), np.array([b.as_array() for b in others]))
+        want = np.array([clip_iou_3d(a, b) for b in others])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert (got >= 0.0).all() and (got <= 1.0).all()
+        assert [rotated_iou_3d(a, b) for b in others] == [rotated_iou_3d(b, a) for b in others]
+        overlapping += int((want > 0).sum())
+    assert overlapping > 200
+    assert rotated_iou_3d_many(a.as_array(), np.zeros((0, 7))).shape == (0,)
 
 
 def test_polygon_area_box():

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -85,8 +86,12 @@ def test_scene_dir_roundtrip(tmp_path):
 
 def test_scene_boxes_reject_bad_line(tmp_path):
     p = tmp_path / "boxes.txt"
-    p.write_text("1 2 3 4 5 6\n")
-    with pytest.raises(ValueError, match=":1:"):
-        read_scene_boxes(p)
+    # too few fields, then lines that parse but that Box3D rejects: zero size,
+    # a NaN or infinite size, an infinite centre
+    for bad in ("1 2 3 4 5 6", "1 2 -1 0 1.6 1.5 0", "1 2 -1 4 nan 1.5 0",
+                "1 2 -1 4 1.6 inf 0", "inf 2 -1 4 1.6 1.5 0"):
+        p.write_text(f"0 0 -1 3.9 1.6 1.56 0\n{bad}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:2: "):
+            read_scene_boxes(p)
     write_scene_boxes(p, [])
     assert read_scene_boxes(p) == []

@@ -13,6 +13,7 @@ from voxdet.synthetic import (
     points_budget,
     synth_scene,
 )
+from oracles import clip_iou_bev
 
 
 def test_shell_points_lie_on_the_box_surface():
@@ -67,7 +68,6 @@ def test_shadowing_removes_only_occluded_points():
 
 
 def test_scene_boxes_fit_the_requested_area_and_do_not_overlap():
-    from voxdet.geometry import rotated_iou_bev
     recipe = SceneRecipe(n_cars=5)
     cloud, boxes = synth_scene(recipe, [0, 0])
     assert len(boxes) == 5
@@ -76,7 +76,7 @@ def test_scene_boxes_fit_the_requested_area_and_do_not_overlap():
         assert recipe.y_range[0] <= b.cy <= recipe.y_range[1]
     for i, a in enumerate(boxes):
         for b in boxes[i + 1:]:
-            assert rotated_iou_bev(a, b) == 0.0
+            assert clip_iou_bev(a, b) == 0.0
 
 
 def test_scene_is_deterministic_and_float32_clean():
