@@ -129,6 +129,9 @@ def encode_box(anchor: Box3D, gt: Box3D,
     ])
 
 
+_BAD_DECODE = "decoded boxes must be finite, with positive dimensions"
+
+
 def decode_rows(anchors: np.ndarray, deltas: np.ndarray,
                 convention: str = CONVENTION_PRINTED) -> np.ndarray:
     """Exact inverse of encode_box on (K, 7) anchor rows and deltas; (K, 7) box rows.
@@ -141,6 +144,10 @@ def decode_rows(anchors: np.ndarray, deltas: np.ndarray,
     """
     anchors = np.asarray(anchors, dtype=np.float64).reshape(-1, 7)
     deltas = np.asarray(deltas, dtype=np.float64).reshape(-1, 7)
+    # no non-finite input decodes to a valid row; rejecting it here keeps
+    # the yaw wrap from warning on inf first
+    if not (np.isfinite(anchors).all() and np.isfinite(deltas).all()):
+        raise ValueError(_BAD_DECODE)
     d_a = np.array([math.hypot(l, w) for l, w in anchors[:, 3:5].tolist()])
     if convention == CONVENTION_PRINTED:
         sign, norm = -1.0, np.column_stack([d_a, anchors[:, 5], d_a])
@@ -153,7 +160,7 @@ def decode_rows(anchors: np.ndarray, deltas: np.ndarray,
                            anchors[:, 3:6] * scale,
                            normalize_angle(normalize_angle(anchors[:, 6] + deltas[:, 6]))])
     if not np.isfinite(out).all() or (out[:, 3:6] <= 0).any():
-        raise ValueError("decoded boxes must be finite, with positive dimensions")
+        raise ValueError(_BAD_DECODE)
     return out
 
 

@@ -431,7 +431,13 @@ def deform_conv2d(x: Tensor, weight: Tensor, offsets: Tensor,
     xs = (ox[None] * stride + taps_x[:, None, None] - padding) + offsets.data[1::2]
     idx, wgt, (wy0, wy1, wx0, wx1) = _bilinear_plan(h, w, ys.ravel(), xs.ravel())
     xz = _zero_column(x.data)
-    s_mat = sum(xz[:, i] * wk for i, wk in zip(idx, wgt)).reshape(c_in * n, ho * wo)
+    # one input channel at a time, so each gather reads a row that fits in
+    # cache; the sum starts from 0 and adds corners 00, 01, 10, 11 in order
+    s_mat = np.empty((c_in, n * ho * wo))
+    for ch in range(c_in):
+        row = xz[ch]
+        s_mat[ch] = sum(row[i] * wk for i, wk in zip(idx, wgt))
+    s_mat = s_mat.reshape(c_in * n, ho * wo)
     w_mat = weight.data.reshape(c_out, -1)
     out = w_mat @ s_mat
     if bias is not None:
@@ -444,13 +450,19 @@ def deform_conv2d(x: Tensor, weight: Tensor, offsets: Tensor,
         d_sampled = (w_mat.T @ g_mat).reshape(c_in, -1)
         d_x = _scatter(d_sampled, idx, wgt, x.data.shape)
         # corners are read again one channel at a time, so no (C, M) corner
-        # array is held; the channel sum is then one reduction over axis 1
-        d_off = np.empty((2, c_in, n * ho * wo))
+        # array is held; channel 0 starts the offset gradient and channels
+        # 1, 2, ... are added to it in order
+        d_off = np.empty((2, n * ho * wo))
         for ch in range(c_in):
             v00, v01, v10, v11 = xz[ch][idx]
-            d_off[0, ch] = d_sampled[ch] * ((v10 - v00) * wx0 + (v11 - v01) * wx1)
-            d_off[1, ch] = d_sampled[ch] * ((v01 - v00) * wy0 + (v11 - v10) * wy1)
-        d_off = d_off.sum(axis=1).reshape(2, n, ho, wo).swapaxes(0, 1).reshape(offsets.data.shape)
+            g_y = d_sampled[ch] * ((v10 - v00) * wx0 + (v11 - v01) * wx1)
+            g_x = d_sampled[ch] * ((v01 - v00) * wy0 + (v11 - v10) * wy1)
+            if ch:
+                d_off[0] += g_y
+                d_off[1] += g_x
+            else:
+                d_off[0], d_off[1] = g_y, g_x
+        d_off = d_off.reshape(2, n, ho, wo).swapaxes(0, 1).reshape(offsets.data.shape)
         if bias is None:
             return d_x, d_w, d_off
         return d_x, d_w, d_off, g_mat.sum(axis=1)

@@ -106,6 +106,80 @@ def numeric_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return g
 
 
+def _deform_point(offsets: np.ndarray, n: int, oy: int, ox: int,
+                  stride: int, padding: int) -> tuple[float, float]:
+    """Where tap n of output pixel (oy, ox) samples, for a square kernel."""
+    ky, kx = divmod(n, math.isqrt(offsets.shape[0] // 2))
+    return ((oy * stride + ky - padding) + offsets[2 * n, oy, ox],
+            (ox * stride + kx - padding) + offsets[2 * n + 1, oy, ox])
+
+
+def _deform_corner(y: float, x: float, cy: int, cx: int) -> tuple[int, int, float]:
+    """Pixel (row, col) of corner (cy, cx) of the bilinear read at (y, x),
+    and its weight wy*wx."""
+    y0, x0 = math.floor(y), math.floor(x)
+    wy = y - y0 if cy else 1.0 - (y - y0)
+    wx = x - x0 if cx else 1.0 - (x - x0)
+    return y0 + cy, x0 + cx, wy * wx
+
+
+def _pixel(plane: np.ndarray, yy: int, xx: int) -> float:
+    """plane[yy, xx], or 0.0 off the grid."""
+    h, w = plane.shape
+    return plane[yy, xx] if 0 <= yy < h and 0 <= xx < w else 0.0
+
+
+_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def loop_deform_samples(x: np.ndarray, offsets: np.ndarray,
+                        stride: int = 1, padding: int = 0) -> np.ndarray:
+    """Sampled values of a deformable convolution, one bilinear read at a time.
+
+    `x` is (C_in, H, W) and `offsets` is laid out as in `deform_conv2d` for a
+    square kernel. Returns (C_in, kH*kW, H_out, W_out): for each channel, tap
+    and output pixel, a sum that starts from 0.0 and adds value * weight of
+    corners 00, 01, 10 and 11 in that order, an off-grid corner's value being
+    0.0. This is the summation order `deform_conv2d` keeps.
+    """
+    n_taps, ho, wo = offsets.shape[0] // 2, *offsets.shape[1:]
+    out = np.empty((x.shape[0], n_taps, ho, wo))
+    for c, n, oy, ox in itertools.product(range(x.shape[0]), range(n_taps), range(ho), range(wo)):
+        y, x_ = _deform_point(offsets, n, oy, ox, stride, padding)
+        total = 0.0
+        for cy, cx in _CORNERS:
+            yy, xx, wgt = _deform_corner(y, x_, cy, cx)
+            total += _pixel(x[c], yy, xx) * wgt
+        out[c, n, oy, ox] = total
+    return out
+
+
+def loop_deform_offset_grad(x: np.ndarray, d_sampled: np.ndarray, offsets: np.ndarray,
+                            stride: int = 1, padding: int = 0) -> np.ndarray:
+    """Offset gradient of a deformable convolution, one bilinear read at a time.
+
+    `d_sampled` is (C_in, kH*kW, H_out, W_out), the gradient of each sampled
+    value. For each tap and output pixel, the y and x slopes of channel 0's
+    read start the sum and channels 1, 2, ... are added in order, the order
+    `deform_conv2d` keeps. Returns an array shaped like `offsets`.
+    """
+    _, n_taps, ho, wo = d_sampled.shape
+    d_off = np.empty(offsets.shape)
+    for n, oy, ox in itertools.product(range(n_taps), range(ho), range(wo)):
+        y, x_ = _deform_point(offsets, n, oy, ox, stride, padding)
+        wy1, wx1 = y - math.floor(y), x_ - math.floor(x_)
+        wy0, wx0 = 1.0 - wy1, 1.0 - wx1
+        for c in range(x.shape[0]):
+            v00, v01, v10, v11 = (_pixel(x[c], *_deform_corner(y, x_, cy, cx)[:2])
+                                  for cy, cx in _CORNERS)
+            g = d_sampled[c, n, oy, ox]
+            g_y = g * ((v10 - v00) * wx0 + (v11 - v01) * wx1)
+            g_x = g * ((v01 - v00) * wy0 + (v11 - v10) * wy1)
+            acc = (g_y, g_x) if c == 0 else (acc[0] + g_y, acc[1] + g_x)
+        d_off[2 * n, oy, ox], d_off[2 * n + 1, oy, ox] = acc
+    return d_off
+
+
 def loop_deform_input_grad(d_sampled: np.ndarray, offsets: np.ndarray, shape,
                            stride: int = 1, padding: int = 0) -> np.ndarray:
     """Input gradient of a deformable convolution, one bilinear read at a time.
@@ -119,23 +193,13 @@ def loop_deform_input_grad(d_sampled: np.ndarray, offsets: np.ndarray, shape,
     """
     c_in, h, w = shape
     _, n_taps, ho, wo = d_sampled.shape
-    k = math.isqrt(n_taps)
     d_x = np.zeros(shape)
-    for cy, cx in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        for c in range(c_in):
-            for n in range(n_taps):
-                ky, kx = divmod(n, k)
-                for oy in range(ho):
-                    for ox in range(wo):
-                        y = (oy * stride + ky - padding) + offsets[2 * n, oy, ox]
-                        x = (ox * stride + kx - padding) + offsets[2 * n + 1, oy, ox]
-                        y0, x0 = math.floor(y), math.floor(x)
-                        yy, xx = y0 + cy, x0 + cx
-                        if not (0 <= yy < h and 0 <= xx < w):
-                            continue
-                        wy = y - y0 if cy else 1.0 - (y - y0)
-                        wx = x - x0 if cx else 1.0 - (x - x0)
-                        d_x[c, yy, xx] += d_sampled[c, n, oy, ox] * (wy * wx)
+    for cy, cx in _CORNERS:
+        for c, n, oy, ox in itertools.product(range(c_in), range(n_taps), range(ho), range(wo)):
+            y, x_ = _deform_point(offsets, n, oy, ox, stride, padding)
+            yy, xx, wgt = _deform_corner(y, x_, cy, cx)
+            if 0 <= yy < h and 0 <= xx < w:
+                d_x[c, yy, xx] += d_sampled[c, n, oy, ox] * wgt
     return d_x
 
 

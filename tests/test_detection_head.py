@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -157,8 +158,11 @@ def test_decode_rows_equal_the_scalar_decode(convention):
     assert decode_rows(np.zeros((0, 7)), np.zeros((0, 7)), convention).shape == (0, 7)
 
 
-@pytest.mark.parametrize("column, value", [(3, -800.0), (5, -800.0), (0, math.nan),
-                                           (4, math.inf), (6, math.inf), (1, -math.inf)])
+_REJECTED_DELTAS = [(3, -800.0), (5, -800.0), (0, math.nan),
+                    (4, math.inf), (6, math.inf), (1, -math.inf)]
+
+
+@pytest.mark.parametrize("column, value", _REJECTED_DELTAS)
 def test_decode_rows_reject_what_box3d_rejects(column, value):
     anchors = np.tile(Box3D(3, -2, -1, 3.9, 1.6, 1.56, 0.3).as_array(), (3, 1))
     deltas = np.zeros((3, 7))
@@ -168,6 +172,17 @@ def test_decode_rows_reject_what_box3d_rejects(column, value):
     with pytest.raises(ValueError):
         decode_rows(anchors, deltas)
     assert decode_rows(anchors[[0, 2]], deltas[[0, 2]]).shape == (2, 7)
+
+
+def test_decode_rows_reject_without_a_warning():
+    anchors = np.tile(Box3D(3, -2, -1, 3.9, 1.6, 1.56, 0.3).as_array(), (3, 1))
+    for column, value in _REJECTED_DELTAS:
+        deltas = np.zeros((3, 7))
+        deltas[1, column] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be finite"):
+                decode_rows(anchors, deltas)
 
 
 def test_codec_rejects_unknown_convention():

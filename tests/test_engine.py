@@ -28,7 +28,13 @@ from voxdet.engine import (
     tmean,
     tsum,
 )
-from oracles import dense_conv2d, loop_deform_input_grad, numeric_gradient
+from oracles import (
+    dense_conv2d,
+    loop_deform_input_grad,
+    loop_deform_offset_grad,
+    loop_deform_samples,
+    numeric_gradient,
+)
 
 
 def rand(shape, seed, lo=-1.0, hi=1.0):
@@ -72,15 +78,18 @@ def test_conv2d_shape_mismatch():
 
 
 def test_deform_zero_offsets_equals_conv_exactly():
-    x = Tensor(rand((2, 6, 6), 4))
-    w = Tensor(rand((4, 2, 3, 3), 5))
-    b = Tensor(rand((4,), 6))
-    for padding in (0, 1, 2):
-        ho = 6 + 2 * padding - 3 + 1
-        off = Tensor(np.zeros((18, ho, ho)))
-        got = deform_conv2d(x, w, off, b, padding=padding)
-        want = conv2d(x, w, b, padding=padding)
-        assert np.array_equal(got.data, want.data)
+    # the 1x1 kernel with one output channel multiplies a matrix by a vector,
+    # where the sampled matrix's memory order picks the BLAS path
+    for c_in, c_out, k in ((2, 4, 3), (4, 1, 1)):
+        x = Tensor(rand((c_in, 6, 6), 4))
+        w = Tensor(rand((c_out, c_in, k, k), 5))
+        b = Tensor(rand((c_out,), 6))
+        for padding in (0, 1, 2):
+            ho = 6 + 2 * padding - k + 1
+            off = Tensor(np.zeros((2 * k * k, ho, ho)))
+            got = deform_conv2d(x, w, off, b, padding=padding)
+            want = conv2d(x, w, b, padding=padding)
+            assert np.array_equal(got.data, want.data)
 
 
 def test_deform_integer_shift_equals_shifted_conv():
@@ -294,15 +303,15 @@ def test_grad_deform_conv2d():
     _gc(lambda x, w, off, b: tsum(deform_conv2d(x, w, off, b)), [x, w, off, b], tol=1e-5)
 
 
-def _deform_case(seed, c_in=3, c_out=2, size=6, stride=1, padding=1):
-    """Random input, 3x3 weights, upstream gradient and offsets that mix
+def _deform_case(seed, c_in=3, c_out=2, size=6, stride=1, padding=1, k=3):
+    """Random input, kxk weights, upstream gradient and offsets that mix
     fractional, integer and far-off-grid sampling positions."""
     rng = np.random.default_rng(seed)
-    ho = (size + 2 * padding - 3) // stride + 1
+    ho = (size + 2 * padding - k) // stride + 1
     x = rng.uniform(-1, 1, (c_in, size, size))
-    w = rng.uniform(-1, 1, (c_out, c_in, 3, 3))
+    w = rng.uniform(-1, 1, (c_out, c_in, k, k))
     g = rng.uniform(-1, 1, (c_out, ho, ho))
-    off = rng.uniform(-2.5, 2.5, (18, ho, ho))
+    off = rng.uniform(-2.5, 2.5, (2 * k * k, ho, ho))
     pick = rng.random(off.shape)
     off[pick < 0.3] = np.round(off[pick < 0.3])
     off[pick > 0.85] *= 8.0
@@ -322,6 +331,38 @@ def test_deform_input_grad_matches_loop_oracle_bit_for_bit(seed):
         c_in, 9, *g.shape[1:])
     want = loop_deform_input_grad(d_sampled, off, x.shape, stride=stride, padding=padding)
     assert np.array_equal(xt.grad, want)
+
+
+def _deform_order_case(seed):
+    """A 3x3 or 5x5 case at stride 1 or 2, with some inputs -0.0."""
+    k, stride, padding = ((3, 1, 1), (5, 2, 2), (3, 2, 0), (5, 1, 3))[seed % 4]
+    x, w, g, off = _deform_case(seed, c_in=4, size=7, stride=stride, padding=padding, k=k)
+    x[np.random.default_rng(seed).random(x.shape) < 0.1] = -0.0
+    return x, w, g, off, k, stride, padding
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_deform_samples_match_loop_oracle_bit_for_bit(seed):
+    # an identity weight over the C_in*k*k sampled rows outputs the samples
+    x, _, _, off, k, stride, padding = _deform_order_case(seed)
+    rows = x.shape[0] * k * k
+    eye = Tensor(np.eye(rows).reshape(rows, x.shape[0], k, k))
+    out = deform_conv2d(Tensor(x), eye, Tensor(off), stride=stride, padding=padding)
+    want = loop_deform_samples(x, off, stride=stride, padding=padding)
+    assert np.array_equal(out.data, want.reshape(out.data.shape))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_deform_offset_grad_matches_loop_oracle_bit_for_bit(seed):
+    x, w, g, off, k, stride, padding = _deform_order_case(seed)
+    ot = Tensor(off, requires_grad=True)
+    with Tape() as tape:
+        out = deform_conv2d(Tensor(x), Tensor(w), ot, stride=stride, padding=padding)
+        tape.backward(out, seed=g)
+    d_sampled = (w.reshape(w.shape[0], -1).T @ g.reshape(g.shape[0], -1)).reshape(
+        x.shape[0], k * k, *g.shape[1:])
+    want = loop_deform_offset_grad(x, d_sampled, off, stride=stride, padding=padding)
+    assert np.array_equal(ot.grad, want)
 
 
 def test_deform_offset_grad_at_integer_positions_is_the_right_difference():
