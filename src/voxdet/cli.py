@@ -63,6 +63,12 @@ def _load_dataset(root) -> list[tuple[str, PointCloud, list[Box3D]]]:
     return out
 
 
+def _load_checkpoint(path, what: str = "checkpoint") -> dict[str, np.ndarray]:
+    if not os.path.isfile(path):
+        raise FileNotFoundError(f"{what} not found: {path}")
+    return engine.load_checkpoint(path)
+
+
 def _resolve_config(args) -> RunConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -109,9 +115,7 @@ def _cmd_train_cfg(args) -> int:
     cfg = _resolve_config(args)
     scenes = [(c, b) for _, c, b in _load_dataset(cfg.data.conceptual)]
     os.makedirs(cfg.data.out, exist_ok=True)
-    params, log = train_cfg(scenes, cfg.network, cfg.train,
-                            checkpoint_dir=cfg.data.out
-                            if cfg.train.checkpoint_every else None,
+    params, log = train_cfg(scenes, cfg.network, cfg.train, checkpoint_dir=cfg.data.out,
                             anchors=cfg.anchors)
     engine.save_checkpoint(os.path.join(cfg.data.out, "cfg.ckpt"), params)
     with engine.atomic_write(os.path.join(cfg.data.out, "cfg_log.txt")) as fh:
@@ -137,15 +141,11 @@ def _load_pairs(cfg: RunConfig) -> list[ScenePair]:
 def _cmd_train(args) -> int:
     cfg = _resolve_config(args)
     ckpt = args.cfg_checkpoint or os.path.join(cfg.data.out, "cfg.ckpt")
-    if not os.path.isfile(ckpt):
-        raise FileNotFoundError(f"reference checkpoint not found: {ckpt}")
-    cfg_params = {k: Tensor(v) for k, v in engine.load_checkpoint(ckpt).items()}
+    cfg_params = {k: Tensor(v) for k, v in _load_checkpoint(ckpt, "reference checkpoint").items()}
     pairs = _load_pairs(cfg)
     os.makedirs(cfg.data.out, exist_ok=True)
     params, log = train_associate(pairs, cfg_params, cfg.network, cfg.train,
-                                  checkpoint_dir=cfg.data.out
-                                  if cfg.train.checkpoint_every else None,
-                                  anchors=cfg.anchors)
+                                  checkpoint_dir=cfg.data.out, anchors=cfg.anchors)
     engine.save_checkpoint(os.path.join(cfg.data.out, "pfe.ckpt"), params)
     with engine.atomic_write(os.path.join(cfg.data.out, "train_log.txt")) as fh:
         fh.write(format_loss_log(log))
@@ -157,10 +157,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _resolve_config(args)
-    ckpt = args.checkpoint or os.path.join(cfg.data.out, "pfe.ckpt")
-    if not os.path.isfile(ckpt):
-        raise FileNotFoundError(f"checkpoint not found: {ckpt}")
-    params = engine.load_checkpoint(ckpt)
+    params = _load_checkpoint(args.checkpoint or os.path.join(cfg.data.out, "pfe.ckpt"))
     root = cfg.data.conceptual if args.dataset == "conceptual" else cfg.data.scenes
     scenes = [(c, b) for _, c, b in _load_dataset(root)]
     report = evaluate(params, scenes, cfg.network, cfg.eval.iou_threshold,
@@ -184,11 +181,7 @@ def _cmd_render_bev(args) -> int:
             raise ValueError(f"scene index {args.scene} out of range "
                              f"(dataset has {len(scenes)})")
         scenes = [scenes[args.scene]]
-    params = None
-    if args.checkpoint:
-        if not os.path.isfile(args.checkpoint):
-            raise FileNotFoundError(f"checkpoint not found: {args.checkpoint}")
-        params = engine.load_checkpoint(args.checkpoint)
+    params = _load_checkpoint(args.checkpoint) if args.checkpoint else None
     anchors = cfg.anchors.generate(cfg.network.bev_shape, cfg.grid)
     os.makedirs(cfg.data.out, exist_ok=True)
     for name, cloud, boxes in scenes:

@@ -29,10 +29,23 @@ from .geometry import (
     points_in_box,
     rotation_z,
 )
+from .voxelizer import require_float, require_int
 
-DEFAULT_YAW_BINS = 24
-DEFAULT_TOP_PERCENT = 20.0
-MIN_CANDIDATE_POINTS = 8
+
+@dataclass(frozen=True)
+class ConceptualConfig:
+    """Instance bank settings: yaw bins, top-K% kept per bin, candidate point floor."""
+
+    m_bins: int = 24
+    k_percent: float = 20.0
+    min_points: int = 8
+
+    def __post_init__(self):
+        require_int("m_bins", self.m_bins, 1)
+        require_int("min_points", self.min_points, 0)
+        require_float("k_percent", self.k_percent)
+        if not (0.0 < self.k_percent <= 100.0):
+            raise ValueError("k_percent must be in (0, 100]")
 
 
 def bin_index(yaw: float, m_bins: int) -> int:
@@ -94,19 +107,17 @@ class InstanceBank:
 
 def build_instance_bank(
     scenes: Sequence[tuple[PointCloud, Sequence[Box3D]]],
-    m_bins: int = DEFAULT_YAW_BINS,
-    k_percent: float = DEFAULT_TOP_PERCENT,
-    min_points: int = MIN_CANDIDATE_POINTS,
+    m_bins: int = ConceptualConfig.m_bins,
+    k_percent: float = ConceptualConfig.k_percent,
+    min_points: int = ConceptualConfig.min_points,
 ) -> InstanceBank:
     """Crop every labeled object and keep the densest top K% of each yaw bin.
 
     Ranking is by point count, ties broken by lower scene id then lower
-    instance index, so the candidate sets are nested as K shrinks.
+    instance index, so the candidate sets are nested as K shrinks. The
+    settings are checked as ConceptualConfig checks them.
     """
-    if m_bins < 1:
-        raise ValueError("m_bins must be >= 1")
-    if not (0.0 < k_percent <= 100.0):
-        raise ValueError("k_percent must be in (0, 100]")
+    ConceptualConfig(m_bins, k_percent, min_points)
     instances: list[BankInstance] = []
     for scene_id, (cloud, boxes) in enumerate(scenes):
         for instance_idx, box in enumerate(boxes):

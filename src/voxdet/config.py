@@ -11,6 +11,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import yaml
 
+from .conceptual import ConceptualConfig
 from .detection_head import NMS_IOU_DEFAULT, AnchorConfig
 from .engine import atomic_write
 from .evaluation import METRIC_BEV, METRIC_3D
@@ -24,20 +25,6 @@ class DataPaths:
     scenes: str = "data/scenes"
     conceptual: str = "data/conceptual"
     out: str = "runs"
-
-
-@dataclass(frozen=True)
-class ConceptualConfig:
-    m_bins: int = 24
-    k_percent: float = 20.0
-    min_points: int = 8
-
-    def __post_init__(self):
-        require_int("m_bins", self.m_bins, 1)
-        require_int("min_points", self.min_points, 0)
-        require_float("k_percent", self.k_percent)
-        if not (0.0 < self.k_percent <= 100.0):
-            raise ValueError("k_percent must be in (0, 100]")
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,10 @@ def decode_rows(anchors: np.ndarray, deltas: np.ndarray,
         sign, norm = 1.0, np.column_stack([d_a, d_a, anchors[:, 5]])
     else:
         raise ValueError(f"unknown codec convention {convention!r}")
-    scale = np.reshape([math.exp(v) for v in deltas[:, 3:6].ravel().tolist()], (-1, 3))
+    try:
+        scale = np.reshape([math.exp(v) for v in deltas[:, 3:6].ravel().tolist()], (-1, 3))
+    except OverflowError:  # a size delta above log(float max), about 709.78
+        raise ValueError(_BAD_DECODE) from None
     out = np.column_stack([anchors[:, :3] + sign * deltas[:, :3] * norm,
                            anchors[:, 3:6] * scale,
                            normalize_angle(normalize_angle(anchors[:, 6] + deltas[:, 6]))])

@@ -12,6 +12,7 @@ import os
 
 import numpy as np
 
+from .engine import atomic_write
 from .geometry import Box3D, PointCloud
 
 POINT_RECORD_BYTES = 16
@@ -32,7 +33,9 @@ def read_point_cloud(path: str | os.PathLike) -> PointCloud:
 
 
 def write_point_cloud(path: str | os.PathLike, cloud: PointCloud) -> None:
-    cloud.data.astype("<f4").tofile(path)
+    """Write the records atomically (see engine.atomic_write)."""
+    with atomic_write(path, "wb") as f:
+        f.write(cloud.data.astype("<f4").tobytes())
 
 
 def read_scene_boxes(path: str | os.PathLike) -> list[Box3D]:
@@ -53,7 +56,8 @@ def read_scene_boxes(path: str | os.PathLike) -> list[Box3D]:
 
 
 def write_scene_boxes(path: str | os.PathLike, boxes: list[Box3D]) -> None:
-    with open(path, "w") as f:
+    """Write the box lines atomically (see engine.atomic_write)."""
+    with atomic_write(path) as f:
         for b in boxes:
             f.write(f"{b.cx!r} {b.cy!r} {b.cz!r} {b.l!r} {b.w!r} {b.h!r} {b.yaw!r}\n")
 

@@ -16,7 +16,7 @@ from . import engine
 from .detection_head import ANCHOR_YAWS
 from .engine import Tensor
 from .geometry import PointCloud
-from .sparse_conv import STRIDED, SUBMANIFOLD, build_rulebook, sparse_conv, squeeze_height, to_dense
+from .sparse_conv import STRIDED, SUBMANIFOLD, build_rulebook, sparse_conv_forward, squeeze_height, to_dense
 from .voxelizer import GridConfig, SparseVoxelTensor, mini_grid, require_int, voxelize
 
 SPATIAL_DOWNSAMPLE = 8  # three stride-2 stages
@@ -164,27 +164,26 @@ def copy_shared_into(pfe_params: dict, cfg_params: dict) -> None:
 
 def _backbone_bev(cloud: PointCloud, params: dict, config: NetworkConfig) -> Tensor:
     vox = voxelize(cloud, config.grid)
-    embedded = engine.relu(engine.linear(
+    coords, shape = vox.coords, vox.spatial_shape
+    feats = engine.relu(engine.linear(
         vox.features, params["embed.weight"], params["embed.bias"]))
-    sp = SparseVoxelTensor(vox.coords, embedded, vox.spatial_shape)
     for i in range(4):
         # a submanifold conv keeps its input sites, so sub0 and sub1 share one rulebook
-        rb = build_rulebook(sp.coords, sp.spatial_shape, 3, mode=SUBMANIFOLD)
+        rb = build_rulebook(coords, shape, 3, mode=SUBMANIFOLD)
         for j in (0, 1):
-            sp = sparse_conv(sp, params[f"backbone.s{i}.sub{j}.weight"],
-                             params[f"backbone.s{i}.sub{j}.bias"], rb)
-            sp = SparseVoxelTensor(sp.coords, engine.relu(sp.features), sp.spatial_shape)
+            feats = engine.relu(sparse_conv_forward(
+                feats, params[f"backbone.s{i}.sub{j}.weight"],
+                params[f"backbone.s{i}.sub{j}.bias"], rb))
         if i < 3:
-            rb = build_rulebook(sp.coords, sp.spatial_shape, 3, stride=2,
-                                mode=STRIDED, padding=1)
+            rb = build_rulebook(coords, shape, 3, stride=2, mode=STRIDED, padding=1)
         else:
-            kz, sz = _collapse_kernel(sp.spatial_shape[2])
-            rb = build_rulebook(sp.coords, sp.spatial_shape, (1, 1, kz),
-                                stride=(1, 1, sz), mode=STRIDED, padding=0)
-        sp = sparse_conv(sp, params[f"backbone.s{i}.down.weight"],
-                         params[f"backbone.s{i}.down.bias"], rb)
-        sp = SparseVoxelTensor(sp.coords, engine.relu(sp.features), sp.spatial_shape)
-    return squeeze_height(to_dense(sp))
+            kz, sz = _collapse_kernel(shape[2])
+            rb = build_rulebook(coords, shape, (1, 1, kz), stride=(1, 1, sz),
+                                mode=STRIDED, padding=0)
+        feats = engine.relu(sparse_conv_forward(
+            feats, params[f"backbone.s{i}.down.weight"], params[f"backbone.s{i}.down.bias"], rb))
+        coords, shape = rb.out_coords, rb.out_spatial_shape
+    return squeeze_height(to_dense(SparseVoxelTensor(coords, feats, shape)))
 
 
 def _head(adapt: Tensor, params: dict) -> tuple[Tensor, Tensor]:

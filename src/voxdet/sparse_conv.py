@@ -1,10 +1,12 @@
 """Sparse 3D convolution over active voxel sites via rulebooks.
 
-A rulebook lists, for every kernel tap, which input row contributes to
-which output row; the convolution is then gather, matmul against that
-tap's weight slice, scatter-add. Submanifold mode keeps the site set
-unchanged (no dilation of the active pattern); strided mode creates the
-downsampled sites that receive at least one contribution.
+A rulebook is one flat list of (input row, output row) pairs, grouped by
+kernel tap: tap t owns the slice starts[t]:starts[t+1]. The convolution
+gathers every pair's input row once, then for each tap multiplies its
+slice by that tap's weight slice and scatter-adds into the output rows.
+Submanifold mode keeps the site set unchanged (no dilation of the active
+pattern); strided mode creates the downsampled sites that receive at
+least one contribution.
 
 One builder serves both modes. A pair links input site i and output site
 o of one tap when i = o * stride + tap - padding. Submanifold mode walks
@@ -40,9 +42,14 @@ def _as_triple(v) -> tuple[int, int, int]:
 
 @dataclass
 class Rulebook:
-    """Gather/scatter plan: one (input rows, output rows) pair list per kernel tap."""
+    """Gather/scatter plan: one tap-major (input row, output row) pair list.
 
-    taps: list[tuple[np.ndarray, np.ndarray]]
+    Tap t owns pairs starts[t]:starts[t + 1] of in_rows and out_rows.
+    """
+
+    in_rows: np.ndarray
+    out_rows: np.ndarray
+    starts: np.ndarray
     out_coords: np.ndarray
     out_spatial_shape: tuple[int, int, int]
     kernel: tuple[int, int, int]
@@ -50,7 +57,7 @@ class Rulebook:
 
     @property
     def num_pairs(self) -> int:
-        return sum(len(i) for i, _ in self.taps)
+        return len(self.in_rows)
 
 
 def build_rulebook(coords: np.ndarray, spatial_shape, kernel, stride=1,
@@ -110,9 +117,8 @@ def build_rulebook(coords: np.ndarray, spatial_shape, kernel, stride=1,
     found = table[pos] == keys
     partner_row, row = order[pos[found]], row[found]
     in_rows, out_rows = (partner_row, row) if mode == SUBMANIFOLD else (row, partner_row)
-    bounds = np.cumsum(np.bincount(tap[found], minlength=len(taps)))[:-1]
-    pairs = list(zip(np.split(in_rows, bounds), np.split(out_rows, bounds)))
-    return Rulebook(pairs, out_coords, out_shape, kernel, len(coords))
+    starts = np.concatenate([[0], np.cumsum(np.bincount(tap[found], minlength=len(taps)))])
+    return Rulebook(in_rows, out_rows, starts, out_coords, out_shape, kernel, len(coords))
 
 
 def sparse_conv_forward(features: Tensor, weight: Tensor, bias: Tensor | None,
@@ -126,30 +132,25 @@ def sparse_conv_forward(features: Tensor, weight: Tensor, bias: Tensor | None,
         raise ValueError(f"weight kernel {(kx, ky, kz)} != rulebook kernel {rulebook.kernel}")
     if n != rulebook.in_count:
         raise ValueError(f"rulebook built for {rulebook.in_count} sites, features have {n}")
-    m = len(rulebook.out_coords)
+    in_rows, out_rows = rulebook.in_rows, rulebook.out_rows
+    bounds = rulebook.starts.tolist()
+    spans = [(t, slice(a, b)) for t, (a, b) in enumerate(zip(bounds, bounds[1:])) if a < b]
     w_taps = weight.data.reshape(c_out, c_in, -1)
-    out = np.zeros((m, c_out))
-    gathered_cache = []
-    for t, (in_idx, out_idx) in enumerate(rulebook.taps):
-        if len(in_idx) == 0:
-            gathered_cache.append(None)
-            continue
-        gathered = features.data[in_idx]
-        gathered_cache.append(gathered)
+    out = np.zeros((len(rulebook.out_coords), c_out))
+    gathered = features.data[in_rows]
+    for t, s in spans:
         # out rows are unique within one tap, so fancy-index add is exact
-        out[out_idx] += gathered @ w_taps[:, :, t].T
+        out[out_rows[s]] += gathered[s] @ w_taps[:, :, t].T
     if bias is not None:
         out += bias.data
 
     def backward(g):
         d_feat = np.zeros_like(features.data)
         d_w = np.zeros_like(w_taps)
-        for t, (in_idx, out_idx) in enumerate(rulebook.taps):
-            if len(in_idx) == 0:
-                continue
-            g_rows = g[out_idx]
-            d_feat[in_idx] += g_rows @ w_taps[:, :, t]
-            d_w[:, :, t] += g_rows.T @ gathered_cache[t]
+        g_rows = g[out_rows]
+        for t, s in spans:
+            d_feat[in_rows[s]] += g_rows[s] @ w_taps[:, :, t]
+            d_w[:, :, t] += g_rows[s].T @ gathered[s]
         d_w = d_w.reshape(weight.data.shape)
         if bias is None:
             return d_feat, d_w
@@ -157,12 +158,6 @@ def sparse_conv_forward(features: Tensor, weight: Tensor, bias: Tensor | None,
 
     inputs = [features, weight] if bias is None else [features, weight, bias]
     return _record(inputs, out, backward)
-
-
-def sparse_conv(sp: SparseVoxelTensor, weight: Tensor, bias: Tensor | None,
-                rulebook: Rulebook) -> SparseVoxelTensor:
-    feats = sparse_conv_forward(sp.features, weight, bias, rulebook)
-    return SparseVoxelTensor(rulebook.out_coords, feats, rulebook.out_spatial_shape)
 
 
 def to_dense(sp: SparseVoxelTensor) -> Tensor:

@@ -69,6 +69,41 @@ def brute_rulebook(coords, spatial_shape, kernel, stride, padding, submanifold):
     return pairs, np.array(out_sites, dtype=np.int64).reshape(-1, 3)
 
 
+def per_tap_sparse_conv(feat: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
+                        taps, num_out: int, g: np.ndarray):
+    """Sparse convolution one kernel tap at a time, forward and backward.
+
+    `taps` lists one (input rows, output rows) pair per tap, in the nested
+    (dx, dy, dz) order. Each tap gathers its own input rows; output rows
+    add the taps in tap order, and the feature and weight gradients are
+    summed tap by tap. Returns (out, d_feat, d_w, d_b) for the upstream
+    gradient g; d_b is None without a bias.
+    """
+    c_out, c_in = weight.shape[:2]
+    w_taps = weight.reshape(c_out, c_in, -1)
+    out = np.zeros((num_out, c_out))
+    gathered_cache = []
+    for t, (in_idx, out_idx) in enumerate(taps):
+        if len(in_idx) == 0:
+            gathered_cache.append(None)
+            continue
+        gathered = feat[in_idx]
+        gathered_cache.append(gathered)
+        out[out_idx] += gathered @ w_taps[:, :, t].T
+    if bias is not None:
+        out += bias
+    d_feat = np.zeros_like(feat)
+    d_w = np.zeros_like(w_taps)
+    for t, (in_idx, out_idx) in enumerate(taps):
+        if len(in_idx) == 0:
+            continue
+        g_rows = g[out_idx]
+        d_feat[in_idx] += g_rows @ w_taps[:, :, t]
+        d_w[:, :, t] += g_rows.T @ gathered_cache[t]
+    d_b = None if bias is None else g.sum(axis=0)
+    return out, d_feat, d_w.reshape(weight.shape), d_b
+
+
 def dense_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                  stride: int = 1, padding: int = 0) -> np.ndarray:
     """Plain nested-loop 2D convolution, NCHW single-image (C,H,W) input."""

@@ -107,6 +107,20 @@ def test_train_cfg_rerun_is_byte_identical(pipeline):
     assert (runs / "cfg_log.txt").read_bytes() == log_before
 
 
+def test_train_cfg_writes_per_epoch_checkpoints(pipeline):
+    base = pipeline["cfg"]
+    out = pipeline["root"] / "every_epoch"
+    cfg = replace(base, data=replace(base.data, out=str(out)),
+                  train=replace(base.train, epochs=2, checkpoint_every=1))
+    path = pipeline["root"] / "every_epoch.yaml"
+    save_config(path, cfg)
+    assert cli.main(["train-cfg", "--config", str(path)]) == 0
+    assert sorted(p.name for p in out.glob("*.ckpt")) == [
+        "cfg.ckpt", "cfg_epoch0001.ckpt", "cfg_epoch0002.ckpt"]
+    assert (out / "cfg_epoch0002.ckpt").read_bytes() == (out / "cfg.ckpt").read_bytes()
+    assert (out / "cfg_epoch0001.ckpt").read_bytes() != (out / "cfg.ckpt").read_bytes()
+
+
 def test_train_without_reference_checkpoint_is_missing(pipeline, capsys):
     cfg = replace(pipeline["cfg"],
                   data=replace(pipeline["cfg"].data,

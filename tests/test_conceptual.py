@@ -135,10 +135,10 @@ def test_build_errors():
         build_instance_bank([(PointCloud.empty(), [])])
     box = car_box(5, 0, 0.0)
     scenes = [(PointCloud(make_car(box, 30, 1)), [box])]
-    with pytest.raises(ValueError, match="m_bins"):
-        build_instance_bank(scenes, m_bins=0)
-    with pytest.raises(ValueError, match="k_percent"):
-        build_instance_bank(scenes, k_percent=0.0)
+    for bad in ({"m_bins": 0}, {"m_bins": 1.5}, {"k_percent": 0.0},
+                {"k_percent": float("nan")}, {"min_points": -1}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            build_instance_bank(scenes, **bad)
     sparse = [(PointCloud(make_car(box, 3, 2)), [box])]
     with pytest.raises(ValueError, match="point floor"):
         build_instance_bank(sparse)

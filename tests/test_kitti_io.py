@@ -1,5 +1,7 @@
+import os
 import re
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -82,6 +84,22 @@ def test_scene_dir_roundtrip(tmp_path):
     assert np.array_equal(cloud2.data, cloud.data)
     assert boxes2 == boxes
     assert list_scene_dirs(tmp_path) == [str(scene)]
+
+
+def test_scene_write_failing_midway_keeps_previous(tmp_path):
+    cloud = PointCloud(np.ones((4, 4)))
+    boxes = [Box3D(1.0, 2.0, 0.5, 3.9, 1.6, 1.5, 0.25)]
+    write_scene_dir(tmp_path, cloud, boxes)
+    points, lines = (tmp_path / "points.bin").read_bytes(), (tmp_path / "boxes.txt").read_text()
+    with pytest.raises(ValueError):
+        # the records fail to convert once the temporary file is open
+        write_point_cloud(tmp_path / "points.bin", SimpleNamespace(data=np.array([["x"] * 4])))
+    with pytest.raises(AttributeError):
+        # the first line is written before the second box fails
+        write_scene_boxes(tmp_path / "boxes.txt", [boxes[0], None])
+    assert (tmp_path / "points.bin").read_bytes() == points
+    assert (tmp_path / "boxes.txt").read_text() == lines
+    assert sorted(os.listdir(tmp_path)) == ["boxes.txt", "points.bin"]
 
 
 def test_scene_boxes_reject_bad_line(tmp_path):

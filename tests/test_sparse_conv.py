@@ -9,26 +9,30 @@ from voxdet.sparse_conv import (
     SUBMANIFOLD,
     build_rulebook,
     from_dense,
-    sparse_conv,
     sparse_conv_forward,
     squeeze_height,
     to_dense,
 )
 from voxdet.voxelizer import SparseVoxelTensor
-from oracles import brute_rulebook, dense_conv3d
+from oracles import brute_rulebook, dense_conv3d, per_tap_sparse_conv
 
 
 def make_sparse(coords, feats, shape):
     return SparseVoxelTensor(np.asarray(coords), Tensor(np.asarray(feats, dtype=np.float64)), shape)
 
 
-def densify(sp):
+def densify(coords, feats, shape):
     """(C, nx, ny, nz) volume indexed like the coords, for the dense oracle."""
-    c = sp.num_channels
-    vol = np.zeros((c,) + tuple(sp.spatial_shape))
-    for coord, f in zip(sp.coords, sp.features.data):
+    vol = np.zeros((feats.shape[1],) + tuple(shape))
+    for coord, f in zip(coords, feats):
         vol[:, coord[0], coord[1], coord[2]] = f
     return vol
+
+
+def tap_pairs(rb):
+    """The rulebook's pair list cut into one (input rows, output rows) pair per tap."""
+    bounds = rb.starts[1:-1]
+    return list(zip(np.split(rb.in_rows, bounds), np.split(rb.out_rows, bounds)))
 
 
 def random_pattern(rng, n, shape):
@@ -49,7 +53,9 @@ def test_single_voxel_submanifold():
     assert len(rb.out_coords) == 1
     assert rb.num_pairs == 1  # only the center tap lands on an active site
     center = 13  # tap (1,1,1) in 3x3x3 nested order
-    assert len(rb.taps[center][0]) == 1
+    assert rb.starts[center + 1] - rb.starts[center] == 1
+    np.testing.assert_array_equal(rb.starts, [0] * 14 + [1] * 14)
+    assert rb.in_rows.tolist() == rb.out_rows.tolist() == [0]
 
 
 def test_two_adjacent_voxels_submanifold():
@@ -116,8 +122,10 @@ def test_rulebook_pairs_match_brute_force(case):
     rb = build_rulebook(coords, shape, kernel, stride=stride, mode=mode, padding=padding)
     want, out_coords = brute_rulebook(coords, shape, kernel, stride, padding, mode == SUBMANIFOLD)
     np.testing.assert_array_equal(rb.out_coords, out_coords)
-    assert len(rb.taps) == len(want)
-    for (got_in, got_out), (want_in, want_out) in zip(rb.taps, want):
+    assert rb.in_rows.dtype == rb.out_rows.dtype == np.int64
+    assert len(rb.in_rows) == len(rb.out_rows) == rb.starts[-1] == rb.num_pairs
+    assert len(rb.starts) == len(want) + 1 and rb.starts[0] == 0
+    for (got_in, got_out), (want_in, want_out) in zip(tap_pairs(rb), want):
         assert got_in.dtype == got_out.dtype == np.int64
         np.testing.assert_array_equal(got_in, want_in)
         np.testing.assert_array_equal(got_out, want_out)
@@ -131,25 +139,25 @@ def test_identity_center_tap():
     rng = np.random.default_rng(2)
     shape = (6, 6, 3)
     coords = random_pattern(rng, 12, shape)
-    sp = make_sparse(coords, rng.uniform(-1, 1, (12, 4)), shape)
+    feats = rng.uniform(-1, 1, (12, 4))
     rb = build_rulebook(coords, shape, 3)
     w = np.zeros((4, 4, 3, 3, 3))
     for c in range(4):
         w[c, c, 1, 1, 1] = 1.0
-    out = sparse_conv(sp, Tensor(w), None, rb)
-    np.testing.assert_array_equal(out.features.data, sp.features.data)
-    np.testing.assert_array_equal(out.coords, sp.coords)
+    out = sparse_conv_forward(Tensor(feats), Tensor(w), None, rb)
+    np.testing.assert_array_equal(out.data, feats)
+    np.testing.assert_array_equal(rb.out_coords, coords)
 
 
 def test_zero_weight_gives_bias():
     rng = np.random.default_rng(3)
     shape = (6, 6, 3)
     coords = random_pattern(rng, 9, shape)
-    sp = make_sparse(coords, rng.uniform(-1, 1, (9, 2)), shape)
+    feats = rng.uniform(-1, 1, (9, 2))
     rb = build_rulebook(coords, shape, 3)
     bias = np.array([0.5, -1.25])
-    out = sparse_conv(sp, Tensor(np.zeros((2, 2, 3, 3, 3))), Tensor(bias), rb)
-    np.testing.assert_array_equal(out.features.data, np.tile(bias, (9, 1)))
+    out = sparse_conv_forward(Tensor(feats), Tensor(np.zeros((2, 2, 3, 3, 3))), Tensor(bias), rb)
+    np.testing.assert_array_equal(out.data, np.tile(bias, (9, 1)))
 
 
 @pytest.mark.parametrize("kernel", [1, 3])
@@ -158,14 +166,13 @@ def test_submanifold_matches_dense_oracle(kernel):
     shape = (7, 6, 4)
     coords = random_pattern(rng, 25, shape)
     feats = rng.uniform(-1, 1, (25, 3))
-    sp = make_sparse(coords, feats, shape)
     rb = build_rulebook(coords, shape, kernel)
     w = rng.uniform(-1, 1, (5, 3, kernel, kernel, kernel))
     b = rng.uniform(-1, 1, 5)
-    out = sparse_conv(sp, Tensor(w), Tensor(b), rb)
+    out = sparse_conv_forward(Tensor(feats), Tensor(w), Tensor(b), rb)
     p = kernel // 2
-    dense = dense_conv3d(densify(sp), w, b, (1, 1, 1), (p, p, p))
-    for coord, f in zip(out.coords, out.features.data):
+    dense = dense_conv3d(densify(coords, feats, shape), w, b, (1, 1, 1), (p, p, p))
+    for coord, f in zip(rb.out_coords, out.data):
         np.testing.assert_allclose(f, dense[:, coord[0], coord[1], coord[2]], atol=1e-12)
 
 
@@ -174,13 +181,12 @@ def test_strided_matches_dense_oracle():
     shape = (8, 8, 4)
     coords = random_pattern(rng, 30, shape)
     feats = rng.uniform(-1, 1, (30, 2))
-    sp = make_sparse(coords, feats, shape)
     rb = build_rulebook(coords, shape, 3, stride=2, mode=STRIDED)
     w = rng.uniform(-1, 1, (4, 2, 3, 3, 3))
     b = rng.uniform(-1, 1, 4)
-    out = sparse_conv(sp, Tensor(w), Tensor(b), rb)
-    dense = dense_conv3d(densify(sp), w, b, (2, 2, 2), (1, 1, 1))
-    for coord, f in zip(out.coords, out.features.data):
+    out = sparse_conv_forward(Tensor(feats), Tensor(w), Tensor(b), rb)
+    dense = dense_conv3d(densify(coords, feats, shape), w, b, (2, 2, 2), (1, 1, 1))
+    for coord, f in zip(rb.out_coords, out.data):
         np.testing.assert_allclose(f, dense[:, coord[0], coord[1], coord[2]], atol=1e-12)
 
 
@@ -190,14 +196,55 @@ def test_z_collapse_configuration():
     shape = (4, 4, 5)
     coords = random_pattern(rng, 20, shape)
     feats = rng.uniform(-1, 1, (20, 2))
-    sp = make_sparse(coords, feats, shape)
     rb = build_rulebook(coords, shape, (1, 1, 3), stride=(1, 1, 2), padding=(0, 0, 0), mode=STRIDED)
     assert rb.out_spatial_shape == (4, 4, 2)
     w = rng.uniform(-1, 1, (3, 2, 1, 1, 3))
-    out = sparse_conv(sp, Tensor(w), None, rb)
-    dense = dense_conv3d(densify(sp), w, None, (1, 1, 2), (0, 0, 0))
-    for coord, f in zip(out.coords, out.features.data):
+    out = sparse_conv_forward(Tensor(feats), Tensor(w), None, rb)
+    dense = dense_conv3d(densify(coords, feats, shape), w, None, (1, 1, 2), (0, 0, 0))
+    for coord, f in zip(rb.out_coords, out.data):
         np.testing.assert_allclose(f, dense[:, coord[0], coord[1], coord[2]], atol=1e-12)
+
+
+# (mode, spatial shape, active sites, kernel, stride, padding, c_in, c_out, bias)
+PER_TAP_CASES = {
+    "sub_3x3x3": (SUBMANIFOLD, (6, 5, 4), 40, 3, 1, None, 5, 4, True),
+    "sub_sparse_empty_taps": (SUBMANIFOLD, (9, 9, 6), 6, 3, 1, None, 3, 2, True),
+    "sub_no_bias": (SUBMANIFOLD, (5, 5, 3), 30, 3, 1, None, 4, 6, False),
+    "sub_wide": (SUBMANIFOLD, (10, 10, 6), 300, 3, 1, None, 128, 16, True),
+    "sub_1x1x1": (SUBMANIFOLD, (4, 4, 4), 10, 1, 1, None, 3, 3, True),
+    "strided_3x3x3": (STRIDED, (8, 8, 4), 50, 3, 2, 1, 4, 5, True),
+    "strided_z_collapse": (STRIDED, (4, 4, 5), 30, (1, 1, 3), (1, 1, 2), 0, 6, 3, True),
+    "sub_empty": (SUBMANIFOLD, (4, 4, 4), 0, 3, 1, None, 2, 3, True),
+    "strided_empty": (STRIDED, (4, 4, 4), 0, 3, 2, 1, 2, 3, True),
+}
+
+
+@pytest.mark.parametrize("case", PER_TAP_CASES)
+def test_forward_and_backward_match_per_tap_oracle_bit_for_bit(case):
+    # the one gather per layer keeps every product, operand and add order of
+    # the per-tap loop, so outputs and gradients keep their bytes
+    mode, shape, n, kernel, stride, padding, c_in, c_out, with_bias = PER_TAP_CASES[case]
+    rng = np.random.default_rng(21)
+    coords = random_pattern(rng, n, shape)
+    rb = build_rulebook(coords, shape, kernel, stride=stride, mode=mode, padding=padding)
+    taps = tap_pairs(rb)
+    if case == "sub_sparse_empty_taps":
+        assert any(len(i) == 0 for i, _ in taps)
+    kx, ky, kz = rb.kernel
+    feat = Tensor(rng.uniform(-1, 1, (n, c_in)), requires_grad=True)
+    w = Tensor(rng.uniform(-1, 1, (c_out, c_in, kx, ky, kz)), requires_grad=True)
+    b = Tensor(rng.uniform(-1, 1, c_out), requires_grad=True) if with_bias else None
+    g = rng.uniform(-1, 1, (len(rb.out_coords), c_out))
+    with Tape() as tape:
+        out = sparse_conv_forward(feat, w, b, rb)
+        tape.backward(out, seed=g)
+    want_out, want_feat, want_w, want_b = per_tap_sparse_conv(
+        feat.data, w.data, None if b is None else b.data, taps, len(rb.out_coords), g)
+    assert np.array_equal(out.data, want_out)
+    assert np.array_equal(feat.grad, want_feat)
+    assert np.array_equal(w.grad, want_w)
+    if with_bias:
+        assert np.array_equal(b.grad, want_b)
 
 
 def test_linearity_without_bias():
