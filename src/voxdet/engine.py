@@ -6,6 +6,12 @@ Tape.backward walks the records in reverse and accumulates gradients into
 the leaf tensors' .grad buffers. With no tape active the ops are plain
 eager numpy, which is what inference uses.
 
+A tape runs backward once. Each closure, and with it the arrays its op
+saved, is freed as soon as the walk has run it. The convolutions bound what
+they save: `conv2d` keeps only its padded input and rebuilds the patch
+matrix in the backward, and `deform_conv2d` drops its samples right after
+the weight gradient, before their gradient is allocated.
+
 The op set is exactly what the detector needs: elementwise arithmetic,
 linear layers, ReLU, sigmoid, softplus, reductions, smooth L1, rigid and
 offset-guided 2D convolution, and bilinear sampling. 64-bit floats
@@ -112,6 +118,7 @@ class Tape:
 
     def __init__(self):
         self.records: list[_Record] = []
+        self._spent = False
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -122,16 +129,27 @@ class Tape:
         assert popped is self
 
     def backward(self, loss: Tensor, seed: np.ndarray | None = None) -> None:
-        """Accumulate d(loss)/d(leaf) into every requires_grad leaf on this tape."""
+        """Accumulate d(loss)/d(leaf) into every requires_grad leaf on this tape.
+
+        Runs once per tape: each record's closure, and with it every array
+        its op saved for the backward, is released as soon as the walk
+        reaches it. The records themselves, with their inputs and outputs,
+        stay.
+        """
+        if self._spent:
+            raise RuntimeError("Tape.backward runs once per tape: the first call released "
+                               "the arrays each op saved; record the forward on a new tape")
+        self._spent = True
         grads: dict[int, np.ndarray] = {}
         if seed is None:
             seed = np.ones_like(loss.data)
         grads[id(loss)] = np.asarray(seed, dtype=np.float64).reshape(loss.data.shape)
         for rec in reversed(self.records):
+            backward, rec.backward = rec.backward, None
             gout = grads.pop(id(rec.output), None)
             if gout is None:
                 continue
-            gins = rec.backward(gout)
+            gins = backward(gout)
             for t, g in zip(rec.inputs, gins):
                 if g is None or not (t._tracked or t.requires_grad):
                     continue
@@ -330,16 +348,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ValueError(f"conv2d output would be empty for input {x.data.shape}, kernel {(kh, kw)}")
     xp = np.zeros((c_in, h + 2 * padding, w + 2 * padding))
     xp[:, padding:padding + h, padding:padding + w] = x.data
-    patches = _im2col(xp, kh, kw, stride, ho, wo)
     w_mat = weight.data.reshape(c_out, -1)
-    out = w_mat @ patches
+    out = w_mat @ _im2col(xp, kh, kw, stride, ho, wo)
     if bias is not None:
         out = out + bias.data[:, None]
     out = out.reshape(c_out, ho, wo)
 
     def backward(g):
+        # the patch matrix is rebuilt from xp rather than kept on the tape,
+        # and dropped before d_patches, its equal in size, is allocated
         g_mat = g.reshape(c_out, -1)
-        d_w = (g_mat @ patches.T).reshape(weight.data.shape)
+        d_w = (g_mat @ _im2col(xp, kh, kw, stride, ho, wo).T).reshape(weight.data.shape)
         d_patches = w_mat.T @ g_mat
         d_xp = np.zeros_like(xp)
         dp = d_patches.reshape(c_in, kh, kw, ho, wo)
@@ -445,8 +464,10 @@ def deform_conv2d(x: Tensor, weight: Tensor, offsets: Tensor,
     out = out.reshape(c_out, ho, wo)
 
     def backward(g):
+        nonlocal s_mat
         g_mat = g.reshape(c_out, -1)
         d_w = (g_mat @ s_mat.T).reshape(weight.data.shape)
+        s_mat = None  # the samples' last use: d_sampled, their equal in size, is next
         d_sampled = (w_mat.T @ g_mat).reshape(c_in, -1)
         d_x = _scatter(d_sampled, idx, wgt, x.data.shape)
         # corners are read again one channel at a time, so no (C, M) corner

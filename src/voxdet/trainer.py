@@ -240,6 +240,25 @@ def _maybe_checkpoint(params, directory, prefix, epoch, every):
     save_checkpoint(directory / f"{prefix}_epoch{epoch:04d}.ckpt", params)
 
 
+def _backpropagate(staged, sample_loss, sums: np.ndarray, epoch: int, step: int) -> None:
+    """Backpropagate the mean loss of one prepared batch on a tape of its own.
+
+    Adds each sample's bbox, cls, assoc and total loss to `sums`. The tape,
+    the staged samples and every activation they hold are released on
+    return, before clipping, the Adam step and the next batch's prepare.
+    """
+    with Tape() as tape:
+        batch_loss = None
+        for item in staged:
+            parts, total = sample_loss(item)
+            values = {name: t.item() for name, t in parts.items()}
+            _require_finite(epoch, step, **values)
+            sums += (values["bbox"], values["cls"], values.get("assoc", 0.0), total.item())
+            batch_loss = total if batch_loss is None else engine.add(batch_loss, total)
+        batch_loss = engine.mul(batch_loss, Tensor(np.float64(1.0 / len(staged))))
+        tape.backward(batch_loss)
+
+
 def _fit(samples, params: dict[str, Tensor], train_config: TrainConfig,
          prepare, sample_loss, prefix: str, checkpoint_dir) -> list[EpochStats]:
     """The epoch/batch loop both phases share; updates params in place.
@@ -263,18 +282,8 @@ def _fit(samples, params: dict[str, Tensor], train_config: TrainConfig,
         sums = np.zeros(4)  # bbox, cls, assoc, total
         for batch in _batches(order, train_config.batch_size):
             lr = cosine_lr(step, total_steps, train_config.base_lr)
-            staged = [prepare(samples[idx], epoch, int(idx)) for idx in batch]
-            with Tape() as tape:
-                batch_loss = None
-                for item in staged:
-                    parts, total = sample_loss(item)
-                    values = {name: t.item() for name, t in parts.items()}
-                    _require_finite(epoch, step, **values)
-                    sums += (values["bbox"], values["cls"], values.get("assoc", 0.0),
-                             total.item())
-                    batch_loss = total if batch_loss is None else engine.add(batch_loss, total)
-                batch_loss = engine.mul(batch_loss, Tensor(np.float64(1.0 / len(staged))))
-                tape.backward(batch_loss)
+            _backpropagate([prepare(samples[idx], epoch, int(idx)) for idx in batch],
+                           sample_loss, sums, epoch, step)
             if train_config.clip_norm is not None:
                 clip_gradients(params, train_config.clip_norm)
             opt.step(lr)

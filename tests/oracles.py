@@ -104,6 +104,41 @@ def per_tap_sparse_conv(feat: np.ndarray, weight: np.ndarray, bias: np.ndarray |
     return out, d_feat, d_w.reshape(weight.shape), d_b
 
 
+def im2col_conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
+                  stride: int, padding: int, g: np.ndarray):
+    """2D convolution that stores its patch matrix, forward and backward.
+
+    The (C_in*kH*kW, H_out*W_out) patch matrix is built once and serves
+    the forward product and the weight gradient; the input gradient adds
+    the patch gradient back tap by tap in (ky, kx) order. Returns
+    (out, d_x, d_w, d_b) for the upstream gradient g; d_b is None without
+    a bias.
+    """
+    c_in, h, w = x.shape
+    c_out, _, kh, kw = weight.shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    xp = np.zeros((c_in, h + 2 * padding, w + 2 * padding))
+    xp[:, padding:padding + h, padding:padding + w] = x
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    windows = windows[:, ::stride, ::stride][:, :ho, :wo]
+    patches = windows.transpose(0, 3, 4, 1, 2).reshape(c_in * kh * kw, ho * wo)
+    w_mat = weight.reshape(c_out, -1)
+    out = w_mat @ patches
+    if bias is not None:
+        out = out + bias[:, None]
+    g_mat = g.reshape(c_out, -1)
+    d_w = (g_mat @ patches.T).reshape(weight.shape)
+    dp = (w_mat.T @ g_mat).reshape(c_in, kh, kw, ho, wo)
+    d_xp = np.zeros_like(xp)
+    for ky in range(kh):
+        for kx in range(kw):
+            d_xp[:, ky:ky + stride * ho:stride, kx:kx + stride * wo:stride] += dp[:, ky, kx]
+    d_b = None if bias is None else g_mat.sum(axis=1)
+    return (out.reshape(c_out, ho, wo), d_xp[:, padding:padding + h, padding:padding + w],
+            d_w, d_b)
+
+
 def dense_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
                  stride: int = 1, padding: int = 0) -> np.ndarray:
     """Plain nested-loop 2D convolution, NCHW single-image (C,H,W) input."""
@@ -236,6 +271,32 @@ def loop_deform_input_grad(d_sampled: np.ndarray, offsets: np.ndarray, shape,
             if 0 <= yy < h and 0 <= xx < w:
                 d_x[c, yy, xx] += d_sampled[c, n, oy, ox] * wgt
     return d_x
+
+
+def loop_deform_conv2d(x: np.ndarray, weight: np.ndarray, offsets: np.ndarray,
+                       bias: np.ndarray | None, stride: int, padding: int, g: np.ndarray):
+    """Deformable convolution forward and backward from the loop oracles.
+
+    The samples come from `loop_deform_samples`; the output, the weight and
+    bias gradients and the sample gradient are the products over them that
+    `deform_conv2d` forms, and the input and offset gradients come from
+    `loop_deform_input_grad` and `loop_deform_offset_grad`. Returns
+    (out, d_x, d_w, d_off, d_b); d_b is None without a bias.
+    """
+    c_out, c_in, kh, kw = weight.shape
+    ho, wo = offsets.shape[1:]
+    s_mat = loop_deform_samples(x, offsets, stride, padding).reshape(c_in * kh * kw, ho * wo)
+    w_mat = weight.reshape(c_out, -1)
+    out = w_mat @ s_mat
+    if bias is not None:
+        out = out + bias[:, None]
+    g_mat = g.reshape(c_out, -1)
+    d_w = (g_mat @ s_mat.T).reshape(weight.shape)
+    d_sampled = (w_mat.T @ g_mat).reshape(c_in, kh * kw, ho, wo)
+    d_x = loop_deform_input_grad(d_sampled, offsets, x.shape, stride, padding)
+    d_off = loop_deform_offset_grad(x, d_sampled, offsets, stride, padding)
+    d_b = None if bias is None else g_mat.sum(axis=1)
+    return out.reshape(c_out, ho, wo), d_x, d_w, d_off, d_b
 
 
 def polygon_area(poly: np.ndarray) -> float:

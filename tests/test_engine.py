@@ -1,5 +1,7 @@
+import itertools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +32,8 @@ from voxdet.engine import (
 )
 from oracles import (
     dense_conv2d,
+    im2col_conv2d,
+    loop_deform_conv2d,
     loop_deform_input_grad,
     loop_deform_offset_grad,
     loop_deform_samples,
@@ -388,6 +392,106 @@ def test_deform_offset_grad_at_integer_positions_is_the_right_difference():
         right.flat[i] = (loss(bumped) - base) / eps
     np.testing.assert_allclose(ot.grad, right, rtol=0, atol=1e-6)
     assert np.abs(right).max() > 0.1
+
+
+def _taped_conv(op, x, weight, *rest, bias, stride, padding, g):
+    """Run op on a tape and backpropagate g; returns the output and the
+    gradients of x, weight, the rest and the bias, in the order
+    im2col_conv2d and loop_deform_conv2d return them."""
+    ts = [Tensor(a, requires_grad=True) for a in (x, weight, *rest)]
+    bt = None if bias is None else Tensor(bias, requires_grad=True)
+    with Tape() as tape:
+        out = op(*ts, bt, stride=stride, padding=padding)
+        tape.backward(out, seed=g)
+    return out.data, *(t.grad for t in ts), None if bt is None else bt.grad
+
+
+def _same_bytes(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+_CONV_CASES = [(3, 4, 9, 8, k, stride, padding)
+               for k, stride, padding in itertools.product((1, 3, 5), (1, 2), (0, 1, 2))]
+
+
+@pytest.mark.parametrize("c_in,c_out,h,w,k,stride,padding",
+                         _CONV_CASES + [(128, 50, 64, 64, 5, 1, 2)])
+def test_conv2d_matches_stored_patch_oracle_bit_for_bit(c_in, c_out, h, w, k, stride, padding):
+    # the backward rebuilds its patches from the padded input; the products
+    # keep their operands and layouts, so no byte may move
+    rng = np.random.default_rng([c_in, h, k, stride, padding])
+    x, weight = rng.uniform(-1, 1, (c_in, h, w)), rng.uniform(-1, 1, (c_out, c_in, k, k))
+    bias = rng.uniform(-1, 1, c_out) if (k + stride + padding) % 2 else None
+    ho, wo = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+    g = rng.uniform(-1, 1, (c_out, ho, wo))
+    got = _taped_conv(conv2d, x, weight, bias=bias, stride=stride, padding=padding, g=g)
+    _same_bytes(got, im2col_conv2d(x, weight, bias, stride, padding, g))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_deform_conv2d_matches_loop_formula_bit_for_bit(seed):
+    x, w, g, off, k, stride, padding = _deform_order_case(seed)
+    bias = np.random.default_rng(seed).uniform(-1, 1, w.shape[0]) if seed else None
+    got = _taped_conv(deform_conv2d, x, w, off, bias=bias, stride=stride, padding=padding, g=g)
+    _same_bytes(got, loop_deform_conv2d(x, w, off, bias, stride, padding, g))
+
+
+def _traced_conv_memory(op, c, size, k, with_offsets):
+    """Live numpy bytes a taped op adds: kept after its forward, at the peak
+    of its backward, and left once the backward is done while the tape is
+    still referenced. Also returns the size of one (C*k*k, H*W) matrix."""
+    rng = np.random.default_rng(70)
+    x = Tensor(rng.uniform(-1, 1, (c, size, size)), requires_grad=True)
+    w = Tensor(rng.uniform(-1, 1, (c, c, k, k)), requires_grad=True)
+    extra = [Tensor(rng.uniform(-2, 2, (2 * k * k, size, size)), requires_grad=True)
+             ] if with_offsets else []
+    g = rng.uniform(-1, 1, (c, size, size))
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            before = tracemalloc.get_traced_memory()[0]
+            out = op(x, w, *extra, padding=k // 2)
+            kept = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            tape.backward(out, seed=g)
+            current, peak = tracemalloc.get_traced_memory()
+        return kept, peak - before, current - before, c * k * k * size * size * 8
+    finally:
+        tracemalloc.stop()
+
+
+def test_conv2d_keeps_its_padded_input_not_its_patches():
+    kept, peak, left, matrix = _traced_conv_memory(conv2d, 64, 32, 5, with_offsets=False)
+    assert kept < matrix / 2
+    assert peak < 2 * matrix  # the rebuilt patches go before d_patches comes
+    assert left < matrix / 2
+
+
+def test_deform_conv2d_never_holds_samples_and_their_gradient_together():
+    kept, peak, left, matrix = _traced_conv_memory(deform_conv2d, 64, 32, 5, with_offsets=True)
+    assert kept > matrix  # the samples stay on the tape until the backward
+    assert peak < 2 * matrix
+    assert left < matrix / 2  # released by the tape, which is still alive
+
+
+def test_tape_backward_runs_once_and_releases_each_closure():
+    x = Tensor(rand((2, 6, 6), 71), requires_grad=True)
+    w = Tensor(rand((2, 2, 3, 3), 72), requires_grad=True)
+    off = Tensor(rand((18, 6, 6), 73), requires_grad=True)
+    unused = Tensor(rand((2,), 74), requires_grad=True)
+    with Tape() as tape:
+        feat = relu(conv2d(x, w, padding=1))
+        loss = tsum(deform_conv2d(feat, w, off, padding=1))
+        mul(unused, unused)  # recorded, but off the loss's path
+        tape.backward(loss)
+    assert len(tape.records) == 5
+    assert all(rec.backward is None for rec in tape.records)
+    grads = [t.grad.copy() for t in (x, w, off)]
+    with pytest.raises(RuntimeError, match="once"):
+        tape.backward(loss)
+    for t, want in zip((x, w, off), grads):
+        assert np.array_equal(t.grad, want)  # the refused call added nothing
 
 
 def test_grad_bilinear_sample():

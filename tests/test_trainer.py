@@ -1,9 +1,10 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from voxdet.engine import Tensor
+from voxdet.engine import Tensor, active_tape, add, mul, tsum
 from voxdet.geometry import Box3D, PointCloud, points_in_box
 from voxdet.network import NetworkConfig, init_params
 from voxdet.trainer import (
@@ -11,6 +12,7 @@ from voxdet.trainer import (
     EpochStats,
     ScenePair,
     TrainConfig,
+    _fit,
     apply_global_transform,
     augment_pair,
     clip_gradients,
@@ -228,6 +230,31 @@ def test_train_associate_aborts_on_non_finite_loss():
     with pytest.raises(RuntimeError, match="non-finite loss at epoch 1"):
         train_associate([pair], cfg_params, net,
                         TrainConfig(batch_size=1, epochs=1, seed=7))
+
+
+def test_fit_releases_each_batch_before_the_next_prepare():
+    # a step's tape holds every activation of its batch; none of it may
+    # outlive the step into clipping, Adam and the next batch's prepare
+    w = Tensor(np.ones(3), requires_grad=True)
+    tapes, consumed = [], []
+
+    class Staged:
+        pass
+
+    def prepare(sample, epoch, idx):
+        assert all(ref() is None for ref in tapes + consumed)
+        return Staged()
+
+    def sample_loss(item):
+        tapes.append(weakref.ref(active_tape()))
+        consumed.append(weakref.ref(item))
+        bbox = tsum(mul(w, w))
+        return {"bbox": bbox, "cls": bbox}, add(bbox, bbox)
+
+    log = _fit(range(4), {"w": w}, TrainConfig(batch_size=2, epochs=2), prepare,
+               sample_loss, "toy", None)
+    assert len(log) == 2 and len(tapes) == 8
+    assert all(ref() is None for ref in tapes + consumed)
 
 
 def test_format_loss_log_roundtrips_floats():
