@@ -7,10 +7,15 @@ the leaf tensors' .grad buffers. With no tape active the ops are plain
 eager numpy, which is what inference uses.
 
 A tape runs backward once. Each closure, and with it the arrays its op
-saved, is freed as soon as the walk has run it. The convolutions bound what
-they save: `conv2d` keeps only its padded input and rebuilds the patch
-matrix in the backward, and `deform_conv2d` drops its samples right after
-the weight gradient, before their gradient is allocated.
+saved, is freed as soon as the walk has run it. The convolutions never hold
+a whole (C*kH*kW, H_out*W_out) patch or sample matrix unless it fits in
+`_PIECE_BYTES`: the forward builds it in tiles of whole output rows and the
+backward in blocks of input channels. `conv2d` saves only its padded input
+and each backward block rebuilds its own patches; `deform_conv2d` saves
+only its sampling plan, and each backward block samples its channels again
+through one corner gather that also serves the offset gradient. A layer
+that fits runs as one piece; otherwise the pieces are large powers of two,
+for which OpenBLAS's blocked products keep the whole-matrix bytes.
 
 The op set is exactly what the detector needs: elementwise arithmetic,
 linear layers, ReLU, sigmoid, softplus, reductions, smooth L1, rigid and
@@ -327,6 +332,22 @@ def smooth_l1(a: Tensor, beta: float = 1.0) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution
 
+# Bytes one piece of a (C*kH*kW, H_out*W_out) patch or sample matrix may
+# take: a tile of whole output rows in a forward, a block of input channels
+# in a backward.
+_PIECE_BYTES = 1 << 24
+
+
+def _pieces(count: int, unit_bytes: int) -> list[slice]:
+    """Consecutive slices over `count` rows or channels of `unit_bytes` each:
+    one slice when all fit in _PIECE_BYTES, else slices of the largest power
+    of two that fits, or of 1."""
+    if count * unit_bytes <= _PIECE_BYTES:
+        step = count
+    else:
+        step = 1 << max(0, (_PIECE_BYTES // unit_bytes).bit_length() - 1)
+    return [slice(a, min(a + step, count)) for a in range(0, count, step)]
+
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
     """Patch matrix (C*kh*kw, ho*wo) from an already-padded (C, Hp, Wp) input."""
@@ -349,23 +370,32 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     xp = np.zeros((c_in, h + 2 * padding, w + 2 * padding))
     xp[:, padding:padding + h, padding:padding + w] = x.data
     w_mat = weight.data.reshape(c_out, -1)
-    out = w_mat @ _im2col(xp, kh, kw, stride, ho, wo)
+    out = np.empty((c_out, ho * wo))
+    for rows in _pieces(ho, c_in * kh * kw * wo * 8):
+        band = xp[:, rows.start * stride:(rows.stop - 1) * stride + kh]
+        out[:, rows.start * wo:rows.stop * wo] = w_mat @ _im2col(
+            band, kh, kw, stride, rows.stop - rows.start, wo)
     if bias is not None:
-        out = out + bias.data[:, None]
+        out += bias.data[:, None]
     out = out.reshape(c_out, ho, wo)
 
     def backward(g):
-        # the patch matrix is rebuilt from xp rather than kept on the tape,
-        # and dropped before d_patches, its equal in size, is allocated
+        # each block rebuilds its patches from xp, forms its columns of d_w
+        # and drops them before its d_patches, their equal in size, comes
         g_mat = g.reshape(c_out, -1)
-        d_w = (g_mat @ _im2col(xp, kh, kw, stride, ho, wo).T).reshape(weight.data.shape)
-        d_patches = w_mat.T @ g_mat
+        d_w = np.empty_like(w_mat)
         d_xp = np.zeros_like(xp)
-        dp = d_patches.reshape(c_in, kh, kw, ho, wo)
-        for ky in range(kh):
-            for kx in range(kw):
-                d_xp[:, ky:ky + stride * ho:stride, kx:kx + stride * wo:stride] += dp[:, ky, kx]
+        for chans in _pieces(c_in, kh * kw * ho * wo * 8):
+            cols = slice(chans.start * kh * kw, chans.stop * kh * kw)
+            d_w[:, cols] = g_mat @ _im2col(xp[chans], kh, kw, stride, ho, wo).T
+            dp = (w_mat[:, cols].T @ g_mat).reshape(-1, kh, kw, ho, wo)
+            d_blk = d_xp[chans]
+            for ky in range(kh):
+                for kx in range(kw):
+                    d_blk[:, ky:ky + stride * ho:stride, kx:kx + stride * wo:stride] += dp[:, ky, kx]
+            del dp  # before the next block's patches
         d_x = d_xp[:, padding:padding + h, padding:padding + w]
+        d_w = d_w.reshape(weight.data.shape)
         if bias is None:
             return d_x, d_w
         return d_x, d_w, g_mat.sum(axis=1)
@@ -412,6 +442,27 @@ def _scatter(d_vals: np.ndarray, idx: np.ndarray, wgt: np.ndarray, shape) -> np.
     return d_x.reshape(shape)
 
 
+def _bilinear_read(corners: np.ndarray, wgt: np.ndarray, out: np.ndarray) -> None:
+    """Fill `out` with the values read through a plan from one channel's
+    (4, M) corner values: the bits of a sum that starts from 0 and adds
+    corners 00, 01, 10 and 11 in order. Adding the 0 last instead of first
+    changes only a -0.0 total, into the +0.0 that the sum from 0 gives."""
+    np.multiply(corners[0], wgt[0], out=out)
+    term = np.empty_like(out)
+    for v, wk in zip(corners[1:], wgt[1:]):
+        out += np.multiply(v, wk, out=term)
+    out += 0.0
+
+
+def _sample(xz: np.ndarray, idx: np.ndarray, wgt: np.ndarray) -> np.ndarray:
+    """(C, M) values of every channel of a zero-column map read through a plan,
+    one channel at a time so each gather reads a row that fits in cache."""
+    out = np.empty((xz.shape[0], idx.shape[1]))
+    for ch in range(len(out)):
+        _bilinear_read(xz[ch][idx], wgt, out[ch])
+    return out
+
+
 def bilinear_sample(x: Tensor, xs: float, ys: float) -> Tensor:
     """Per-channel bilinear read of a (C, H, W) map at one continuous point.
 
@@ -449,40 +500,49 @@ def deform_conv2d(x: Tensor, weight: Tensor, offsets: Tensor,
     ys = (oy[None] * stride + taps_y[:, None, None] - padding) + offsets.data[0::2]
     xs = (ox[None] * stride + taps_x[:, None, None] - padding) + offsets.data[1::2]
     idx, wgt, (wy0, wy1, wx0, wx1) = _bilinear_plan(h, w, ys.ravel(), xs.ravel())
-    xz = _zero_column(x.data)
-    # one input channel at a time, so each gather reads a row that fits in
-    # cache; the sum starts from 0 and adds corners 00, 01, 10, 11 in order
-    s_mat = np.empty((c_in, n * ho * wo))
-    for ch in range(c_in):
-        row = xz[ch]
-        s_mat[ch] = sum(row[i] * wk for i, wk in zip(idx, wgt))
-    s_mat = s_mat.reshape(c_in * n, ho * wo)
     w_mat = weight.data.reshape(c_out, -1)
-    out = w_mat @ s_mat
+    xz = _zero_column(x.data)
+    out = np.empty((c_out, ho * wo))
+    for rows in _pieces(ho, c_in * n * wo * 8):
+        cols = slice(rows.start * wo, rows.stop * wo)
+        # the tile's corners and weights, copied contiguous (a whole-map tile
+        # is idx and wgt themselves), serve every channel's gather
+        idx_t = idx.reshape(4, n, -1)[:, :, cols].reshape(4, -1)
+        wgt_t = wgt.reshape(4, n, -1)[:, :, cols].reshape(4, -1)
+        out[:, cols] = w_mat @ _sample(xz, idx_t, wgt_t).reshape(c_in * n, -1)
     if bias is not None:
-        out = out + bias.data[:, None]
+        out += bias.data[:, None]
     out = out.reshape(c_out, ho, wo)
 
     def backward(g):
-        nonlocal s_mat
+        # Block by block of input channels: the sample gradients, then one
+        # corner gather per channel that samples the channel again and forms
+        # its offset gradient, then the block's columns of d_w. Channel 0
+        # starts the offset gradient and channels 1, 2, ... add to it in order.
         g_mat = g.reshape(c_out, -1)
-        d_w = (g_mat @ s_mat.T).reshape(weight.data.shape)
-        s_mat = None  # the samples' last use: d_sampled, their equal in size, is next
-        d_sampled = (w_mat.T @ g_mat).reshape(c_in, -1)
-        d_x = _scatter(d_sampled, idx, wgt, x.data.shape)
-        # corners are read again one channel at a time, so no (C, M) corner
-        # array is held; channel 0 starts the offset gradient and channels
-        # 1, 2, ... are added to it in order
+        xz = _zero_column(x.data)
+        d_w = np.empty_like(w_mat)
+        d_x = np.empty((c_in, h, w))
         d_off = np.empty((2, n * ho * wo))
-        for ch in range(c_in):
-            v00, v01, v10, v11 = xz[ch][idx]
-            g_y = d_sampled[ch] * ((v10 - v00) * wx0 + (v11 - v01) * wx1)
-            g_x = d_sampled[ch] * ((v01 - v00) * wy0 + (v11 - v10) * wy1)
-            if ch:
-                d_off[0] += g_y
-                d_off[1] += g_x
-            else:
-                d_off[0], d_off[1] = g_y, g_x
+        for chans in _pieces(c_in, n * ho * wo * 8):
+            cols = slice(chans.start * n, chans.stop * n)
+            d_s = (w_mat[:, cols].T @ g_mat).reshape(chans.stop - chans.start, -1)
+            d_x[chans] = _scatter(d_s, idx, wgt, (len(d_s), h, w))
+            s_blk = np.empty_like(d_s)
+            for i, ch in enumerate(range(chans.start, chans.stop)):
+                corners = xz[ch][idx]
+                _bilinear_read(corners, wgt, s_blk[i])
+                v00, v01, v10, v11 = corners
+                g_y = d_s[i] * ((v10 - v00) * wx0 + (v11 - v01) * wx1)
+                g_x = d_s[i] * ((v01 - v00) * wy0 + (v11 - v10) * wy1)
+                if ch:
+                    d_off[0] += g_y
+                    d_off[1] += g_x
+                else:
+                    d_off[0], d_off[1] = g_y, g_x
+            d_w[:, cols] = g_mat @ s_blk.reshape(-1, ho * wo).T
+            del d_s, s_blk  # before the next block's
+        d_w = d_w.reshape(weight.data.shape)
         d_off = d_off.reshape(2, n, ho, wo).swapaxes(0, 1).reshape(offsets.data.shape)
         if bias is None:
             return d_x, d_w, d_off

@@ -207,13 +207,19 @@ def pfe_forward(cloud: PointCloud, params: dict, config: NetworkConfig) -> Forwa
     return ForwardOutput(cls_map, reg_map, adapt, offsets)
 
 
-def cfg_forward(cloud: PointCloud, params: dict, config: NetworkConfig) -> ForwardOutput:
-    """Reference branch: identical trunk with a rigid conv in place of the
-    deformable layer; no offsets."""
+def cfg_adapt_feature(cloud: PointCloud, params: dict, config: NetworkConfig) -> Tensor:
+    """The reference branch up to its adaptation features: the trunk and the
+    rigid conv, without the head. This is all the association reads."""
     validate_params(params, config, with_offsets=False)
     bev = _backbone_bev(cloud, params, config)
     pad = config.deform_kernel // 2
-    adapt = engine.relu(engine.conv2d(
+    return engine.relu(engine.conv2d(
         bev, params["adapt.weight"], params["adapt.bias"], padding=pad))
+
+
+def cfg_forward(cloud: PointCloud, params: dict, config: NetworkConfig) -> ForwardOutput:
+    """Reference branch: identical trunk with a rigid conv in place of the
+    deformable layer; no offsets."""
+    adapt = cfg_adapt_feature(cloud, params, config)
     cls_map, reg_map = _head(adapt, params)
     return ForwardOutput(cls_map, reg_map, adapt, None)

@@ -145,6 +145,9 @@ def sparse_conv_forward(features: Tensor, weight: Tensor, bias: Tensor | None,
         out += bias.data
 
     def backward(g):
+        # the input rows are gathered again rather than kept on the tape,
+        # which holds the features anyway
+        gathered = features.data[in_rows]
         d_feat = np.zeros_like(features.data)
         d_w = np.zeros_like(w_taps)
         g_rows = g[out_rows]

@@ -42,6 +42,7 @@ from .geometry import Box3D, PointCloud, rotation_z
 from .network import (
     SPATIAL_DOWNSAMPLE,
     NetworkConfig,
+    cfg_adapt_feature,
     cfg_forward,
     copy_shared_into,
     init_params,
@@ -326,9 +327,10 @@ def train_associate(pairs: Sequence[ScenePair], cfg_params: dict[str, Tensor],
                     ) -> tuple[dict[str, Tensor], list[EpochStats]]:
     """Train the live branch against the frozen reference on scene pairs.
 
-    Per pair: the reference branch consumes the composed scene without
-    gradients; the live branch consumes the real scene; the total loss adds
-    the reweighted feature-association term with weight sigma.
+    Per pair: the reference branch runs on the composed scene up to its
+    adaptation features, without gradients; the live branch consumes the
+    real scene; the total loss adds the reweighted feature-association term
+    with weight sigma.
     """
     frozen = {name: Tensor(np.array(t.data, copy=True)) for name, t in cfg_params.items()}
     validate_params(frozen, net_config, with_offsets=False)
@@ -341,18 +343,18 @@ def train_associate(pairs: Sequence[ScenePair], cfg_params: dict[str, Tensor],
         if train_config.augment:
             pair = augment_pair(pair, [train_config.seed, _PHASE_PAIR, epoch, idx])
         # reference features and foreground come from the composed scene
-        ref_out = cfg_forward(pair.conceptual, frozen, net_config)
+        ref_adapt = cfg_adapt_feature(pair.conceptual, frozen, net_config)
         fg = foreground_mask(pair.boxes, pair.conceptual, net_config.grid,
                              SPATIAL_DOWNSAMPLE)
-        return pair, ref_out, fg
+        return pair, ref_adapt, fg
 
     def sample_loss(staged):
-        pair, ref_out, fg = staged
+        pair, ref_adapt, fg = staged
         out = pfe_forward(pair.real, params, net_config)
         bbox, cls = _detection_losses(out, pair.boxes, anchor_grid, anchors,
                                       train_config.codec)
         reweight = reweighting_map(offset_length_map(out.offsets), fg)
-        assoc = association_loss(out.adapt_feature, ref_out.adapt_feature,
+        assoc = association_loss(out.adapt_feature, ref_adapt,
                                  reweight, train_config.count_mode)
         total = associate_total_loss(bbox, cls, assoc, train_config.sigma)
         return {"bbox": bbox, "cls": cls, "assoc": assoc}, total

@@ -299,6 +299,62 @@ def loop_deform_conv2d(x: np.ndarray, weight: np.ndarray, offsets: np.ndarray,
     return out.reshape(c_out, ho, wo), d_x, d_w, d_off, d_b
 
 
+def whole_deform_conv2d(x: np.ndarray, weight: np.ndarray, offsets: np.ndarray,
+                        bias: np.ndarray | None, stride: int, padding: int, g: np.ndarray):
+    """Deformable convolution that builds its whole sample matrix, forward and backward.
+
+    The loop oracles' formulas, evaluated for every channel, tap and output
+    pixel at once: each sample starts from 0.0 and adds value * weight of
+    corners 00, 01, 10 and 11; the whole (C_in*kH*kW, H_out*W_out) sample
+    matrix serves the output and the weight gradient; the input gradient
+    adds corner by corner and, within a corner, in (tap, pixel) order; the
+    offset gradient adds channel by channel. Returns (out, d_x, d_w, d_off,
+    d_b) for the upstream gradient g; d_b is None without a bias.
+    """
+    c_out, c_in, kh, kw = weight.shape
+    h, w = x.shape[1:]
+    ho, wo = offsets.shape[1:]
+    ky, kx = np.divmod(np.arange(kh * kw), kw)
+    oy, ox = np.meshgrid(np.arange(ho), np.arange(wo), indexing="ij")
+    y = (oy * stride + ky[:, None, None] - padding) + offsets[0::2]
+    x_ = (ox * stride + kx[:, None, None] - padding) + offsets[1::2]
+    y0, x0 = np.floor(y), np.floor(x_)
+    wy1, wx1 = y - y0, x_ - x0
+    wy0, wx0 = 1.0 - wy1, 1.0 - wx1
+    corners = []  # (rows, cols, on grid, weight), each (taps, H_out, W_out)
+    for cy, cx in _CORNERS:
+        yy, xx = y0.astype(np.int64) + cy, x0.astype(np.int64) + cx
+        inside = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+        corners.append((np.where(inside, yy, 0), np.where(inside, xx, 0), inside,
+                        (wy1 if cy else wy0) * (wx1 if cx else wx0)))
+    values = [np.where(inside, x[:, yy, xx], 0.0) for yy, xx, inside, _ in corners]
+    samples = np.zeros((c_in, kh * kw, ho, wo))
+    for v, (_, _, _, wgt) in zip(values, corners):
+        samples = samples + v * wgt
+    s_mat = samples.reshape(c_in * kh * kw, ho * wo)
+    w_mat = weight.reshape(c_out, -1)
+    out = w_mat @ s_mat
+    if bias is not None:
+        out = out + bias[:, None]
+    g_mat = g.reshape(c_out, -1)
+    d_w = (g_mat @ s_mat.T).reshape(weight.shape)
+    d_s = (w_mat.T @ g_mat).reshape(samples.shape)
+    d_x = np.zeros(x.shape)
+    for yy, xx, inside, wgt in corners:
+        for c in range(c_in):
+            np.add.at(d_x[c], (yy[inside], xx[inside]), (d_s[c] * wgt)[inside])
+    v00, v01, v10, v11 = values
+    g_y = d_s * ((v10 - v00) * wx0 + (v11 - v01) * wx1)
+    g_x = d_s * ((v01 - v00) * wy0 + (v11 - v10) * wy1)
+    acc_y, acc_x = g_y[0], g_x[0]
+    for c in range(1, c_in):
+        acc_y, acc_x = acc_y + g_y[c], acc_x + g_x[c]
+    d_off = np.empty(offsets.shape)
+    d_off[0::2], d_off[1::2] = acc_y, acc_x
+    d_b = None if bias is None else g_mat.sum(axis=1)
+    return out.reshape(c_out, ho, wo), d_x, d_w, d_off, d_b
+
+
 def polygon_area(poly: np.ndarray) -> float:
     """Shoelace area of a polygon given as an (N, 2) vertex array."""
     if len(poly) < 3:

@@ -38,6 +38,7 @@ from oracles import (
     loop_deform_offset_grad,
     loop_deform_samples,
     numeric_gradient,
+    whole_deform_conv2d,
 )
 
 
@@ -437,10 +438,66 @@ def test_deform_conv2d_matches_loop_formula_bit_for_bit(seed):
     _same_bytes(got, loop_deform_conv2d(x, w, off, bias, stride, padding, g))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_whole_deform_oracle_matches_loop_oracles_bit_for_bit(seed):
+    x, w, g, off, k, stride, padding = _deform_order_case(seed)
+    bias = np.random.default_rng(seed).uniform(-1, 1, w.shape[0]) if seed % 2 else None
+    _same_bytes(whole_deform_conv2d(x, w, off, bias, stride, padding, g),
+                loop_deform_conv2d(x, w, off, bias, stride, padding, g))
+
+
+def _count_pieces(monkeypatch):
+    """Record how many pieces each call of the engine's splitter returns:
+    row tiles in a forward, channel blocks in a backward."""
+    counts = []
+    split = eng._pieces
+
+    def counting(count, unit_bytes):
+        pieces = split(count, unit_bytes)
+        counts.append(len(pieces))
+        return pieces
+
+    monkeypatch.setattr(eng, "_pieces", counting)
+    return counts
+
+
+@pytest.mark.parametrize("op", ["conv2d", "deform_conv2d"])
+@pytest.mark.parametrize("h,w,k,stride",
+                         [(48, 48, k, stride) for k, stride in itertools.product((3, 5), (1, 2))]
+                         + [(36, 72, 5, 1), (40, 40, 3, 2)])
+def test_tiles_and_blocks_match_whole_matrix_oracles_bit_for_bit(monkeypatch, op, h, w, k, stride):
+    # a budget of a quarter of the (C*k*k, H*W) matrix splits the forward into
+    # row tiles and the backward into channel blocks; no byte may move
+    c_in, c_out, padding = 32, 64, k // 2
+    rng = np.random.default_rng([h, w, k, stride])
+    x = rng.uniform(-1, 1, (c_in, h, w))
+    x[rng.random(x.shape) < 0.1] = -0.0
+    weight = rng.uniform(-1, 1, (c_out, c_in, k, k))
+    bias = rng.uniform(-1, 1, c_out) if stride == 1 else None
+    ho, wo = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+    g = rng.uniform(-1, 1, (c_out, ho, wo))
+    monkeypatch.setattr(eng, "_PIECE_BYTES", c_in * k * k * ho * wo * 8 // 4)
+    counts = _count_pieces(monkeypatch)
+    if op == "conv2d":
+        got = _taped_conv(conv2d, x, weight, bias=bias, stride=stride, padding=padding, g=g)
+        want = im2col_conv2d(x, weight, bias, stride, padding, g)
+    else:
+        off = rng.uniform(-2.5, 2.5, (2 * k * k, ho, wo))
+        pick = rng.random(off.shape)
+        off[pick < 0.3] = np.round(off[pick < 0.3])
+        off[pick > 0.9] *= 8.0
+        got = _taped_conv(deform_conv2d, x, weight, off, bias=bias, stride=stride,
+                          padding=padding, g=g)
+        want = whole_deform_conv2d(x, weight, off, bias, stride, padding, g)
+    assert len(counts) == 2 and min(counts) >= 4  # forward tiles, backward blocks
+    _same_bytes(got, want)
+
+
 def _traced_conv_memory(op, c, size, k, with_offsets):
-    """Live numpy bytes a taped op adds: kept after its forward, at the peak
-    of its backward, and left once the backward is done while the tape is
-    still referenced. Also returns the size of one (C*k*k, H*W) matrix."""
+    """Live numpy bytes a taped op adds: at the peak of its forward, kept
+    after it, at the peak of its backward, and left once the backward is
+    done while the tape is still referenced. Also returns the size of one
+    (C*k*k, H*W) matrix."""
     rng = np.random.default_rng(70)
     x = Tensor(rng.uniform(-1, 1, (c, size, size)), requires_grad=True)
     w = Tensor(rng.uniform(-1, 1, (c, c, k, k)), requires_grad=True)
@@ -452,26 +509,36 @@ def _traced_conv_memory(op, c, size, k, with_offsets):
         with Tape() as tape:
             before = tracemalloc.get_traced_memory()[0]
             out = op(x, w, *extra, padding=k // 2)
-            kept = tracemalloc.get_traced_memory()[0] - before
+            kept, fwd_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             tape.backward(out, seed=g)
             current, peak = tracemalloc.get_traced_memory()
-        return kept, peak - before, current - before, c * k * k * size * size * 8
+        return (fwd_peak - before, kept - before, peak - before, current - before,
+                c * k * k * size * size * 8)
     finally:
         tracemalloc.stop()
 
 
-def test_conv2d_keeps_its_padded_input_not_its_patches():
-    kept, peak, left, matrix = _traced_conv_memory(conv2d, 64, 32, 5, with_offsets=False)
+# An eighth of the 96-channel 48x48 5x5 matrix: both convolutions run in 12
+# row tiles of 4 rows and 12 channel blocks of 8 channels.
+_EIGHTH = 96 * 25 * 48 * 48
+
+
+def test_conv2d_keeps_its_padded_input_not_its_patches(monkeypatch):
+    monkeypatch.setattr(eng, "_PIECE_BYTES", _EIGHTH, raising=False)
+    fwd_peak, kept, peak, left, matrix = _traced_conv_memory(conv2d, 96, 48, 5, False)
+    assert fwd_peak < matrix / 2  # one row tile of patches at a time
     assert kept < matrix / 2
-    assert peak < 2 * matrix  # the rebuilt patches go before d_patches comes
+    assert peak < matrix * 3 / 4  # one channel block of patches or their gradient
     assert left < matrix / 2
 
 
-def test_deform_conv2d_never_holds_samples_and_their_gradient_together():
-    kept, peak, left, matrix = _traced_conv_memory(deform_conv2d, 64, 32, 5, with_offsets=True)
-    assert kept > matrix  # the samples stay on the tape until the backward
-    assert peak < 2 * matrix
+def test_deform_conv2d_never_holds_samples_and_their_gradient_together(monkeypatch):
+    monkeypatch.setattr(eng, "_PIECE_BYTES", _EIGHTH, raising=False)
+    fwd_peak, kept, peak, left, matrix = _traced_conv_memory(deform_conv2d, 96, 48, 5, True)
+    assert fwd_peak < matrix / 2  # one row tile of samples at a time
+    assert kept < matrix / 4  # the plan, not the samples: the backward samples again
+    assert peak < matrix * 3 / 4  # one channel block of samples and their gradient
     assert left < matrix / 2  # released by the tape, which is still alive
 
 

@@ -218,3 +218,30 @@ def test_head_predicts_one_anchor_per_fixed_yaw():
     params = init_params(mini_config(), seed=0)
     assert params["head.cls.weight"].data.shape[0] == len(ANCHOR_YAWS)
     assert params["head.reg.weight"].data.shape[0] == 7 * len(ANCHOR_YAWS)
+
+
+def test_maps_that_fit_run_as_one_piece(monkeypatch):
+    # every layer on the 8x8 mini map, and the 1x1 heads on a 64x64 map, fit
+    # the engine's piece budget, so each runs as one whole-matrix product
+    counts = []
+    split = engine._pieces
+
+    def counting(count, unit_bytes):
+        pieces = split(count, unit_bytes)
+        counts.append(len(pieces))
+        return pieces
+
+    monkeypatch.setattr(engine, "_pieces", counting)
+    cfg = mini_config()
+    params = init_params(cfg, seed=0)
+    with Tape() as tape:
+        out = pfe_forward(sample_cloud(seed=12), params, cfg)
+        tape.backward(engine.add(engine.tsum(out.cls_map), engine.tsum(out.reg_map)))
+    assert len(counts) == 10  # offsets, deformable, stem, cls and reg: forward and backward
+    stem = Tensor(np.random.default_rng(13).uniform(-1, 1, (cfg.head_channels, 64, 64)),
+                  requires_grad=True)
+    for name in ("head.cls", "head.reg"):
+        with Tape() as tape:
+            tape.backward(engine.tsum(engine.conv2d(
+                stem, params[f"{name}.weight"], params[f"{name}.bias"])))
+    assert counts == [1] * 14

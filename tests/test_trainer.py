@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from voxdet import network
 from voxdet.engine import Tensor, active_tape, add, mul, tsum
 from voxdet.geometry import Box3D, PointCloud, points_in_box
 from voxdet.network import NetworkConfig, init_params
@@ -191,6 +192,25 @@ def test_train_associate_freezes_reference_and_runs():
     assert "offsets.weight" in pfe_params
     assert len(log) == 2
     assert all(row.assoc >= 0 for row in log)
+
+
+def test_frozen_reference_runs_no_head(monkeypatch):
+    # the association reads only the reference's adaptation features, so the
+    # head runs for the live branch alone: once per pair and epoch
+    heads = []
+    head = network._head
+
+    def counting(*args):
+        heads.append(args)
+        return head(*args)
+
+    monkeypatch.setattr(network, "_head", counting)
+    cloud, boxes = scene_fixture(seed=6)
+    pair = ScenePair(cloud, cloud, tuple(boxes))
+    net = mini_net()
+    cfg_params = init_params(net, seed=1, with_offsets=False)
+    train_associate([pair, pair], cfg_params, net, TrainConfig(batch_size=2, epochs=2, seed=3))
+    assert len(heads) == 4
 
 
 def test_associate_loss_starts_at_zero_for_identical_pair():
