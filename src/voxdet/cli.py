@@ -95,7 +95,7 @@ def _cmd_build_conceptual(args) -> int:
     bank = conceptual.build_instance_bank(
         [(c, b) for _, c, b in scenes], m_bins=cfg.conceptual.m_bins,
         k_percent=cfg.conceptual.k_percent, min_points=cfg.conceptual.min_points)
-    os.makedirs(cfg.data.conceptual, exist_ok=True)
+    engine.make_dir(cfg.data.conceptual)
     lines = ["scene objects fallbacks mean_distance"]
     for name, cloud, boxes in scenes:
         composed, matches = conceptual.compose_conceptual_scene(cloud, boxes, bank)
@@ -114,7 +114,7 @@ def _cmd_build_conceptual(args) -> int:
 def _cmd_train_cfg(args) -> int:
     cfg = _resolve_config(args)
     scenes = [(c, b) for _, c, b in _load_dataset(cfg.data.conceptual)]
-    os.makedirs(cfg.data.out, exist_ok=True)
+    engine.make_dir(cfg.data.out)
     params, log = train_cfg(scenes, cfg.network, cfg.train, checkpoint_dir=cfg.data.out,
                             anchors=cfg.anchors)
     engine.save_checkpoint(os.path.join(cfg.data.out, "cfg.ckpt"), params)
@@ -143,7 +143,7 @@ def _cmd_train(args) -> int:
     ckpt = args.cfg_checkpoint or os.path.join(cfg.data.out, "cfg.ckpt")
     cfg_params = {k: Tensor(v) for k, v in _load_checkpoint(ckpt, "reference checkpoint").items()}
     pairs = _load_pairs(cfg)
-    os.makedirs(cfg.data.out, exist_ok=True)
+    engine.make_dir(cfg.data.out)
     params, log = train_associate(pairs, cfg_params, cfg.network, cfg.train,
                                   checkpoint_dir=cfg.data.out, anchors=cfg.anchors)
     engine.save_checkpoint(os.path.join(cfg.data.out, "pfe.ckpt"), params)
@@ -165,7 +165,7 @@ def _cmd_eval(args) -> int:
                       cfg.eval.score_threshold, cfg.eval.nms_iou, cfg.train.codec,
                       anchors=cfg.anchors)
     text = format_report(report)
-    os.makedirs(cfg.data.out, exist_ok=True)
+    engine.make_dir(cfg.data.out)
     with engine.atomic_write(os.path.join(cfg.data.out, f"eval_{args.dataset}.txt")) as fh:
         fh.write(text)
     print(text, end="")
@@ -183,7 +183,7 @@ def _cmd_render_bev(args) -> int:
         scenes = [scenes[args.scene]]
     params = _load_checkpoint(args.checkpoint) if args.checkpoint else None
     anchors = cfg.anchors.generate(cfg.network.bev_shape, cfg.grid)
-    os.makedirs(cfg.data.out, exist_ok=True)
+    engine.make_dir(cfg.data.out)
     for name, cloud, boxes in scenes:
         preds, weights = [], None
         if params is not None:

@@ -115,6 +115,9 @@ def _build_section(name: str, cls, raw: dict) -> object:
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ValueError(f"section '{name}' is missing required keys: {', '.join(missing)}")
+    for key in raw:
+        if key in _TUPLE_KEYS and not isinstance(raw[key], (list, tuple)):
+            raise ValueError(f"{name}.{key} must be a list of values, got {raw[key]!r}")
     kwargs = {k: tuple(v) if k in _TUPLE_KEYS else v for k, v in raw.items()}
     return kwargs if name == "network" else cls(**kwargs)
 
@@ -153,7 +156,11 @@ def dumps_config(cfg: RunConfig) -> str:
 
 
 def loads_config(text: str) -> RunConfig:
-    return from_dict(yaml.safe_load(text))
+    try:
+        tree = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ValueError(f"not valid YAML: {exc}") from exc
+    return from_dict(tree)
 
 
 def save_config(path: str | os.PathLike, cfg: RunConfig) -> None:
@@ -162,7 +169,10 @@ def save_config(path: str | os.PathLike, cfg: RunConfig) -> None:
 
 
 def load_config(path: str | os.PathLike) -> RunConfig:
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"config file not found: {path}")
-    with open(path) as fh:
-        return loads_config(fh.read())
+    if not os.path.isfile(path):
+        raise FileNotFoundError(f"no config file at {path}")
+    try:
+        with open(path) as fh:
+            return loads_config(fh.read())
+    except ValueError as exc:
+        raise ValueError(f"config {os.fspath(path)}: {exc}") from exc

@@ -469,8 +469,7 @@ def bilinear_sample(x: Tensor, xs: float, ys: float) -> Tensor:
     Zero padding outside the pixel grid; differentiable in the map values.
     """
     idx, wgt, _ = _bilinear_plan(*x.data.shape[1:], np.asarray([float(ys)]), np.asarray([float(xs)]))
-    xz = _zero_column(x.data)
-    out = sum(xz[:, i[0]] * wk[0] for i, wk in zip(idx, wgt))
+    out = _sample(_zero_column(x.data), idx, wgt)[:, 0]
     return _record([x], out, lambda g: (_scatter(g[:, None], idx, wgt, x.data.shape),))
 
 
@@ -617,6 +616,15 @@ def atomic_write(path, mode: str = "w"):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def make_dir(path) -> None:
+    """Create a directory and its parents if missing. A file standing at the
+    path or at one of its parents is a ValueError that names the path."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ValueError(f"cannot make directory {os.fspath(path)}: a file is in the way") from exc
 
 
 def save_checkpoint(path, params: dict[str, Tensor | np.ndarray]) -> None:

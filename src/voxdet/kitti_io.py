@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from .engine import atomic_write
+from .engine import atomic_write, make_dir
 from .geometry import Box3D, PointCloud
 
 POINT_RECORD_BYTES = 16
@@ -69,7 +69,7 @@ def read_scene_dir(path: str | os.PathLike) -> tuple[PointCloud, list[Box3D]]:
 
 
 def write_scene_dir(path: str | os.PathLike, cloud: PointCloud, boxes: list[Box3D]) -> None:
-    os.makedirs(path, exist_ok=True)
+    make_dir(path)
     write_point_cloud(os.path.join(path, SCENE_POINTS_FILE), cloud)
     write_scene_boxes(os.path.join(path, SCENE_BOXES_FILE), boxes)
 

@@ -16,8 +16,8 @@ from . import engine
 from .detection_head import ANCHOR_YAWS
 from .engine import Tensor
 from .geometry import PointCloud
-from .sparse_conv import STRIDED, SUBMANIFOLD, build_rulebook, sparse_conv_forward, squeeze_height, to_dense
-from .voxelizer import GridConfig, SparseVoxelTensor, mini_grid, require_int, voxelize
+from .sparse_conv import STRIDED, SUBMANIFOLD, build_rulebook, sparse_conv_forward, to_dense
+from .voxelizer import GridConfig, mini_grid, require_int, voxelize
 
 SPATIAL_DOWNSAMPLE = 8  # three stride-2 stages
 
@@ -163,10 +163,10 @@ def copy_shared_into(pfe_params: dict, cfg_params: dict) -> None:
 
 
 def _backbone_bev(cloud: PointCloud, params: dict, config: NetworkConfig) -> Tensor:
-    vox = voxelize(cloud, config.grid)
-    coords, shape = vox.coords, vox.spatial_shape
+    coords, feats = voxelize(cloud, config.grid)
+    shape = config.grid.spatial_shape
     feats = engine.relu(engine.linear(
-        vox.features, params["embed.weight"], params["embed.bias"]))
+        Tensor(feats), params["embed.weight"], params["embed.bias"]))
     for i in range(4):
         # a submanifold conv keeps its input sites, so sub0 and sub1 share one rulebook
         rb = build_rulebook(coords, shape, 3, mode=SUBMANIFOLD)
@@ -183,7 +183,7 @@ def _backbone_bev(cloud: PointCloud, params: dict, config: NetworkConfig) -> Ten
         feats = engine.relu(sparse_conv_forward(
             feats, params[f"backbone.s{i}.down.weight"], params[f"backbone.s{i}.down.bias"], rb))
         coords, shape = rb.out_coords, rb.out_spatial_shape
-    return squeeze_height(to_dense(SparseVoxelTensor(coords, feats, shape)))
+    return to_dense(coords, feats, shape)
 
 
 def _head(adapt: Tensor, params: dict) -> tuple[Tensor, Tensor]:

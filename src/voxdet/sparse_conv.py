@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Tensor, _record, reshape
-from .voxelizer import SparseVoxelTensor, voxel_coords, voxel_keys
+from .engine import Tensor, _record
+from .voxelizer import voxel_coords, voxel_keys
 
 SUBMANIFOLD = "submanifold"
 STRIDED = "strided"
@@ -163,29 +163,16 @@ def sparse_conv_forward(features: Tensor, weight: Tensor, bias: Tensor | None,
     return _record(inputs, out, backward)
 
 
-def to_dense(sp: SparseVoxelTensor) -> Tensor:
-    """Expand active sites into a dense (C, Z, Y, X) volume of zeros elsewhere."""
-    nx, ny, nz = sp.spatial_shape
-    c = sp.num_channels
-    ix, iy, iz = sp.coords[:, 0], sp.coords[:, 1], sp.coords[:, 2]
+def to_dense(coords: np.ndarray, features: Tensor, spatial_shape) -> Tensor:
+    """Write (N, C) features at their (ix, iy, iz) sites into a (C*Z, Y, X)
+    BEV map, zeros elsewhere; channel c*Z + z holds channel c at height z."""
+    nx, ny, nz = spatial_shape
+    c = features.data.shape[1]
+    ix, iy, iz = coords[:, 0], coords[:, 1], coords[:, 2]
     out = np.zeros((c, nz, ny, nx))
-    out[:, iz, iy, ix] = sp.features.data.T
+    out[:, iz, iy, ix] = features.data.T
 
     def backward(g):
-        return (g[:, iz, iy, ix].T,)
+        return (g.reshape(c, nz, ny, nx)[:, iz, iy, ix].T,)
 
-    return _record([sp.features], out, backward)
-
-
-def from_dense(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of to_dense for tests: coords and features of nonzero sites."""
-    # nonzero over the (X, Y, Z) view lists sites in (ix, iy, iz) key order
-    coords = np.argwhere((dense != 0).any(axis=0).T)
-    feats = dense[:, coords[:, 2], coords[:, 1], coords[:, 0]].T
-    return coords, feats
-
-
-def squeeze_height(dense: Tensor) -> Tensor:
-    """Reshape (C, Z, Y, X) to (C*Z, Y, X); channel index is c*Z + z."""
-    c, z, y, x = dense.data.shape
-    return reshape(dense, (c * z, y, x))
+    return _record([features], out.reshape(c * nz, ny, nx), backward)

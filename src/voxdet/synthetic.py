@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import make_dir
 from .geometry import Box3D, PointCloud, box_corners_bev, rotated_iou_bev_many, rotation_2d
 from .kitti_io import write_scene_dir
 
@@ -183,7 +184,7 @@ def make_dataset(out_dir: str | os.PathLike, n_scenes: int, seed: int,
     if n_scenes < 1:
         raise ValueError("n_scenes must be >= 1")
     recipe = recipe or SceneRecipe()
-    os.makedirs(out_dir, exist_ok=True)
+    make_dir(out_dir)
     paths = []
     for idx in range(n_scenes):
         cloud, boxes = synth_scene(recipe, [seed, idx])

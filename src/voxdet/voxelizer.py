@@ -1,4 +1,4 @@
-"""Point cloud to sparse voxel tensor conversion.
+"""Point cloud to sparse voxel sites and their features.
 
 Each occupied voxel keeps at most a fixed number of points (the first ones
 in cloud order, for determinism) and its feature is the plain mean of the
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Tensor
 from .geometry import PointCloud
 
 
@@ -38,9 +37,13 @@ class GridConfig:
     max_points_per_voxel: int = 5
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "range_min", tuple(float(v) for v in self.range_min))
-        object.__setattr__(self, "range_max", tuple(float(v) for v in self.range_max))
-        object.__setattr__(self, "voxel_size", tuple(float(v) for v in self.voxel_size))
+        for name in ("range_min", "range_max", "voxel_size"):
+            values = getattr(self, name)
+            if len(values) != 3:
+                raise ValueError(f"{name} must list three values (x, y, z), got {values!r}")
+            for i, v in enumerate(values):
+                require_float(f"{name}[{i}]", v)
+            object.__setattr__(self, name, tuple(float(v) for v in values))
         require_int("max_points_per_voxel", self.max_points_per_voxel, 1)
         for lo, hi, vs in zip(self.range_min, self.range_max, self.voxel_size):
             if vs <= 0:
@@ -71,46 +74,10 @@ def voxel_coords(keys: np.ndarray, shape) -> np.ndarray:
     return np.column_stack([keys // (ny * nz), (keys // nz) % ny, keys % nz])
 
 
-@dataclass
-class SparseVoxelTensor:
-    """Active voxel sites plus their feature rows.
-
-    coords is (N, 3) integer (ix, iy, iz); features is a Tensor of shape
-    (N, C) so gradients can flow through sparse convolutions.
-    """
-
-    coords: np.ndarray
-    features: Tensor
-    spatial_shape: tuple[int, int, int]
-
-    def __post_init__(self) -> None:
-        self.coords = np.ascontiguousarray(np.asarray(self.coords, dtype=np.int64).reshape(-1, 3))
-        if not isinstance(self.features, Tensor):
-            self.features = Tensor(self.features)
-        if self.features.data.ndim != 2 or self.features.data.shape[0] != len(self.coords):
-            raise ValueError(
-                f"features shape {self.features.data.shape} does not match {len(self.coords)} coords"
-            )
-        shape = np.asarray(self.spatial_shape, dtype=np.int64)
-        if len(self.coords):
-            if (self.coords < 0).any() or (self.coords >= shape).any():
-                raise ValueError("voxel coords outside spatial_shape")
-            keys = voxel_keys(self.coords, self.spatial_shape)
-            if len(np.unique(keys)) != len(keys):
-                raise ValueError("duplicate voxel coords")
-
-    @property
-    def num_voxels(self) -> int:
-        return len(self.coords)
-
-    @property
-    def num_channels(self) -> int:
-        return self.features.data.shape[1]
-
-
-def voxelize(cloud: PointCloud, grid: GridConfig) -> SparseVoxelTensor:
+def voxelize(cloud: PointCloud, grid: GridConfig) -> tuple[np.ndarray, np.ndarray]:
     """Bin points into voxels; feature = mean xyz of the first few points per voxel.
 
+    Returns the (N, 3) int64 (ix, iy, iz) sites and their (N, 3) features.
     Points outside the half-open range are dropped. Output voxels are sorted
     lexicographically by (ix, iy, iz) so the result is deterministic.
     """
@@ -134,8 +101,7 @@ def voxelize(cloud: PointCloud, grid: GridConfig) -> SparseVoxelTensor:
     np.add.at(feats, group[kept], xyz_sorted[kept])
     feats /= np.minimum(counts, grid.max_points_per_voxel)[:, None]
 
-    return SparseVoxelTensor(voxel_coords(uniq_keys, grid.spatial_shape), Tensor(feats),
-                             grid.spatial_shape)
+    return voxel_coords(uniq_keys, grid.spatial_shape), feats
 
 
 def default_grid() -> GridConfig:

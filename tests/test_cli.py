@@ -25,6 +25,7 @@ from voxdet.config import (
 from voxdet.detection_head import generate_anchors
 from voxdet.geometry import Box3D
 from voxdet.render import read_ppm
+from voxdet.synthetic import SceneRecipe, make_dataset
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +288,55 @@ def test_invalid_config_exits_4(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_broken_yaml_exits_4_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "broken.yaml"
+    path.write_text("train: [1, 2\n")
+    assert cli.main(["eval", "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert f"config {path}: not valid YAML" in err
+    assert "Traceback" not in err
+
+
+def test_config_directory_exits_3(tmp_path, capsys):
+    assert cli.main(["eval", "--config", str(tmp_path)]) == 3
+    assert f"no config file at {tmp_path}" in capsys.readouterr().err
+
+
+_GRID = "  range_max: [32, 16, 2]\n  voxel_size: [0.5, 0.5, 0.5]\n"
+
+
+@pytest.mark.parametrize("text,field", [
+    ("grid:\n  range_min: 5\n" + _GRID, "grid.range_min"),
+    ("anchors:\n  dims: 3.9\n", "anchors.dims"),
+    ("network:\n  stage_channels: 16\n", "network.stage_channels"),
+    ("grid:\n  range_min: [0, -16]\n" + _GRID, "range_min"),
+    ("grid:\n  range_min: [0, -16, -2, 7]\n" + _GRID, "range_min"),
+], ids=["range_min_scalar", "dims_scalar", "stage_channels_scalar",
+        "range_min_two_values", "range_min_four_values"])
+def test_list_field_of_wrong_shape_exits_4_naming_it(tmp_path, capsys, text, field):
+    path = tmp_path / "run.yaml"
+    path.write_text(text)
+    assert cli.main(["train-cfg", "--config", str(path)]) == 4
+    assert f": {field} must " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["make-data", "--out", "{file}", "--scenes", "1"],
+    ["build-conceptual", "--config", "{cfg}"],
+    ["render-bev", "--config", "{cfg}", "--out", "{file}/runs"],
+], ids=["make_data_out", "data_conceptual", "out_below_a_file"])
+def test_output_path_blocked_by_a_file_exits_4(tmp_path, capsys, argv):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    make_dataset(str(tmp_path / "scenes"), 1, 0, SceneRecipe(n_cars=1, base_points=40))
+    cfg = replace(mini_run_config(), data=DataPaths(scenes=str(tmp_path / "scenes"),
+                                                    conceptual=str(blocker), out=str(blocker)))
+    save_config(tmp_path / "run.yaml", cfg)
+    argv = [a.format(file=blocker, cfg=tmp_path / "run.yaml") for a in argv]
+    assert cli.main(argv) == 4
+    assert f"error: cannot make directory {blocker}" in capsys.readouterr().err
+
+
 def test_dump_defaults_roundtrip(capsys):
     assert cli.main(["--dump-defaults"]) == 0
     text = capsys.readouterr().out
@@ -356,13 +406,15 @@ def test_thread_env_rejected_in_subprocess():
 
 # Calls each function that has a post hook once with spans on: the hooks
 # read attributes of the arguments and results (a rulebook's num_pairs, say),
-# which only a call exercises.
+# which only a call exercises. One taped mini-grid live forward and its
+# backward run the traced trunk (voxelize, sparse_conv_forward, to_dense)
+# through the wrappers as a benchmark round does.
 _TRACED_CALLS = """
 import os, tempfile
 import numpy as np
 import tracing
-from voxdet import detection_head, engine, sparse_conv
-from voxdet.geometry import Box3D
+from voxdet import detection_head, engine, network, sparse_conv
+from voxdet.geometry import Box3D, PointCloud
 
 tracer = tracing.Tracer()
 tracing.instrument(tracer)
@@ -373,10 +425,19 @@ detection_head.assign_targets(np.array([row]), [Box3D(*row)])
 detection_head.nms_bev(np.array([row]), [1.0])
 with tempfile.TemporaryDirectory() as tmp:
     engine.save_checkpoint(os.path.join(tmp, "w.ckpt"), {"w": np.ones(2)})
+net = network.NetworkConfig()
+params = network.init_params(net)
+cloud = PointCloud.from_xyz(np.random.default_rng(0).uniform((0, -16, -2), (32, 16, 2), (200, 3)))
+with engine.Tape() as tape:
+    out = network.pfe_forward(cloud, params, net)
+    tape.backward(engine.tsum(out.cls_map))
 metrics = tracing.layer_metrics(tracer, 1, 1.0)
 for name in ("sparse_conv.build_rulebook.pairs", "detection_head.assign_targets.pairs",
-             "detection_head.nms_bev.candidates", "engine.checkpoint.bytes"):
+             "detection_head.nms_bev.candidates", "engine.checkpoint.bytes",
+             "engine.tape.records", "network.pfe_forward.calls", "voxelizer.voxelize.s",
+             "sparse_conv.sparse_conv_forward.bwd_s", "sparse_conv.to_dense.s"):
     assert metrics[name]["value"] > 0, name
+assert tracer.calls[tracer.intern("sparse_conv.to_dense.bwd")] == 1
 """
 
 

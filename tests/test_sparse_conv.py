@@ -8,17 +8,10 @@ from voxdet.sparse_conv import (
     STRIDED,
     SUBMANIFOLD,
     build_rulebook,
-    from_dense,
     sparse_conv_forward,
-    squeeze_height,
     to_dense,
 )
-from voxdet.voxelizer import SparseVoxelTensor
 from oracles import brute_rulebook, dense_conv3d, per_tap_sparse_conv
-
-
-def make_sparse(coords, feats, shape):
-    return SparseVoxelTensor(np.asarray(coords), Tensor(np.asarray(feats, dtype=np.float64)), shape)
 
 
 def densify(coords, feats, shape):
@@ -267,9 +260,8 @@ def test_empty_input_flows_through():
     out = sparse_conv_forward(Tensor(np.zeros((0, 2))), Tensor(np.zeros((3, 2, 3, 3, 3))),
                               Tensor(np.zeros(3)), rb)
     assert out.data.shape == (0, 3)
-    sp = make_sparse(np.zeros((0, 3)), np.zeros((0, 2)), (4, 4, 4))
-    dense = to_dense(sp)
-    assert dense.data.shape == (2, 4, 4, 4)
+    dense = to_dense(np.zeros((0, 3), dtype=np.int64), Tensor(np.zeros((0, 2))), (4, 4, 4))
+    assert dense.data.shape == (8, 4, 4)
     assert not dense.data.any()
 
 
@@ -333,7 +325,7 @@ def test_backward_gradient_check(mode, stride):
 
 
 # ---------------------------------------------------------------------------
-# densify / squeeze
+# densify
 
 
 def test_to_dense_and_roundtrip():
@@ -341,15 +333,17 @@ def test_to_dense_and_roundtrip():
     shape = (5, 4, 3)
     coords = random_pattern(rng, 9, shape)
     feats = rng.uniform(0.5, 1.0, (9, 2))  # nonzero so occupancy is detectable
-    sp = make_sparse(coords, feats, shape)
-    dense = to_dense(sp)
-    assert dense.data.shape == (2, 3, 4, 5)  # (C, Z, Y, X)
+    dense = to_dense(coords, Tensor(feats), shape)
+    assert dense.data.shape == (2 * 3, 4, 5)  # (C*Z, Y, X)
     for coord, f in zip(coords, feats):
-        np.testing.assert_array_equal(dense.data[:, coord[2], coord[1], coord[0]], f)
+        np.testing.assert_array_equal(dense.data[[coord[2], 3 + coord[2]], coord[1], coord[0]], f)
     assert np.count_nonzero(dense.data) == 9 * 2
-    back_coords, back_feats = from_dense(dense.data)
+    # back to sites: nonzero over the (X, Y, Z) view lists them in (ix, iy, iz) order
+    volume = dense.data.reshape(2, 3, 4, 5)
+    back_coords = np.argwhere((volume != 0).any(axis=0).T)
     np.testing.assert_array_equal(back_coords, coords)
-    np.testing.assert_allclose(back_feats, feats)
+    back_feats = volume[:, back_coords[:, 2], back_coords[:, 1], back_coords[:, 0]].T
+    np.testing.assert_array_equal(back_feats, feats)
 
 
 def test_to_dense_gradient_flows():
@@ -359,38 +353,40 @@ def test_to_dense_gradient_flows():
     feat = Tensor(rng.uniform(0.1, 1, (5, 2)), requires_grad=True)
 
     def f(feat):
-        sp = SparseVoxelTensor(coords, feat, shape)
-        d = to_dense(sp)
+        d = to_dense(coords, feat, shape)
         return tsum(d * d)
 
     assert gradient_check(f, [feat]) < 1e-6
 
 
-def test_squeeze_height_z1_identity():
-    x = Tensor(np.random.default_rng(12).uniform(-1, 1, (3, 1, 4, 5)))
-    out = squeeze_height(x)
-    np.testing.assert_array_equal(out.data, x.data[:, 0])
+def test_to_dense_z1_identity():
+    rng = np.random.default_rng(12)
+    shape = (5, 4, 1)
+    coords = random_pattern(rng, 20, shape)
+    feats = rng.uniform(-1, 1, (20, 3))
+    out = to_dense(coords, Tensor(feats), shape)
+    want = np.zeros((3, 4, 5))
+    want[:, coords[:, 1], coords[:, 0]] = feats.T
+    np.testing.assert_array_equal(out.data, want)
 
 
-def test_squeeze_height_channel_order():
-    x = np.zeros((2, 2, 2, 2))
-    for c in range(2):
-        for z in range(2):
-            x[c, z] = 10 * c + z
-    out = squeeze_height(Tensor(x))
+def test_to_dense_channel_order():
+    coords = np.array([[0, 0, 0], [0, 0, 1]])
+    feats = np.array([[0.0, 10.0], [1.0, 11.0]])  # 10 * c + z
+    out = to_dense(coords, Tensor(feats), (2, 2, 2))
     assert out.data.shape == (4, 2, 2)
     np.testing.assert_array_equal(out.data[:, 0, 0], [0, 1, 10, 11])
 
 
-def test_squeeze_height_exhaustive_bijection():
+def test_to_dense_exhaustive_bijection():
     rng = np.random.default_rng(13)
-    x = rng.uniform(-1, 1, (3, 2, 4, 5))
-    out = squeeze_height(Tensor(x)).data
-    for c in range(3):
-        for z in range(2):
-            for y in range(4):
-                for xx in range(5):
-                    assert out[c * 2 + z, y, xx] == x[c, z, y, xx]
+    shape = (5, 4, 2)
+    coords = random_pattern(rng, 40, shape)  # every site
+    feats = rng.uniform(-1, 1, (40, 3))
+    out = to_dense(coords, Tensor(feats), shape).data
+    for (xx, y, z), f in zip(coords, feats):
+        for c in range(3):
+            assert out[c * 2 + z, y, xx] == f[c]
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
