@@ -132,7 +132,7 @@ def association_loss(f_p: Tensor, f_c, reweight: ReweightingMap,
     if denom == 0:
         return Tensor(np.float64(0.0))
 
-    diff = f_p - Tensor(target)
+    diff = engine.add(f_p, engine.neg(Tensor(target)))
     norms = engine.sqrt(engine.tsum(engine.mul(diff, diff), axis=0))
     coeff = reweight.foreground * (1.0 + reweight.values) / float(denom)
     return engine.tsum(engine.mul(norms, Tensor(coeff)))

@@ -13,11 +13,10 @@ import yaml
 
 from .conceptual import ConceptualConfig
 from .detection_head import NMS_IOU_DEFAULT, AnchorConfig
-from .engine import atomic_write
 from .evaluation import METRIC_BEV, METRIC_3D
 from .network import NetworkConfig
 from .trainer import TrainConfig
-from .voxelizer import GridConfig, default_grid, mini_grid, require_float, require_int
+from .voxelizer import GridConfig, default_grid, require_float, require_int
 
 
 @dataclass(frozen=True)
@@ -25,6 +24,12 @@ class DataPaths:
     scenes: str = "data/scenes"
     conceptual: str = "data/conceptual"
     out: str = "runs"
+
+    def __post_init__(self):
+        for name in ("scenes", "conceptual", "out"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value:
+                raise ValueError(f"data.{name} must be a non-empty path, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -70,13 +75,6 @@ class RunConfig:
 
 def default_run_config() -> RunConfig:
     return RunConfig()
-
-
-def mini_run_config() -> RunConfig:
-    """Desk-scale variant: 64x64x8 grid, short training schedule."""
-    grid = mini_grid()
-    return RunConfig(grid=grid, network=NetworkConfig(grid=grid),
-                     train=TrainConfig(batch_size=2, epochs=10))
 
 
 # network.grid is serialized once, at the top level
@@ -161,11 +159,6 @@ def loads_config(text: str) -> RunConfig:
     except yaml.YAMLError as exc:
         raise ValueError(f"not valid YAML: {exc}") from exc
     return from_dict(tree)
-
-
-def save_config(path: str | os.PathLike, cfg: RunConfig) -> None:
-    with atomic_write(path) as fh:
-        fh.write(dumps_config(cfg))
 
 
 def load_config(path: str | os.PathLike) -> RunConfig:

@@ -265,7 +265,7 @@ def smooth_l1_loss(pred_deltas: Tensor, assignment: TargetAssignment) -> Tensor:
     if n_pos == 0:
         return Tensor(np.float64(0.0))
     mask = (assignment.labels == POSITIVE).astype(np.float64)[:, None] / n_pos
-    diff = pred_deltas - Tensor(assignment.deltas)
+    diff = engine.add(pred_deltas, engine.neg(Tensor(assignment.deltas)))
     return engine.tsum(engine.mul(engine.smooth_l1(diff, beta=1.0), Tensor(mask)))
 
 

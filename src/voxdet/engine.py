@@ -8,7 +8,7 @@ eager numpy, which is what inference uses.
 
 A tape runs backward once. Each closure, and with it the arrays its op
 saved, is freed as soon as the walk has run it. The convolutions never hold
-a whole (C*kH*kW, H_out*W_out) patch or sample matrix unless it fits in
+a whole (C*kH*kW, H*W) patch or sample matrix unless it fits in
 `_PIECE_BYTES`: the forward builds it in tiles of whole output rows and the
 backward in blocks of input channels. `conv2d` saves only its padded input
 and each backward block rebuilds its own patches; `deform_conv2d` saves
@@ -17,10 +17,11 @@ through one corner gather that also serves the offset gradient. A layer
 that fits runs as one piece; otherwise the pieces are large powers of two,
 for which OpenBLAS's blocked products keep the whole-matrix bytes.
 
-The op set is exactly what the detector needs: elementwise arithmetic,
-linear layers, ReLU, sigmoid, softplus, reductions, smooth L1, rigid and
-offset-guided 2D convolution, and bilinear sampling. 64-bit floats
-throughout so finite-difference checks can run tight tolerances.
+The ops are plain functions (a Tensor has no arithmetic operators):
+elementwise arithmetic, linear layers, ReLU, sigmoid, softplus, reductions,
+smooth L1, bilinear sampling, and the detector's two same-size 2D
+convolutions, rigid and offset-guided, at stride 1 with odd kernels. 64-bit
+floats throughout so finite-difference checks can run tight tolerances.
 """
 
 from __future__ import annotations
@@ -66,32 +67,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # convenience arithmetic; scalars and arrays promote to constants
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return add(self, neg(_as_tensor(other)))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-
-def _as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(np.asarray(value, dtype=np.float64))
 
 
 class _Record:
@@ -332,7 +307,7 @@ def smooth_l1(a: Tensor, beta: float = 1.0) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution
 
-# Bytes one piece of a (C*kH*kW, H_out*W_out) patch or sample matrix may
+# Bytes one piece of a (C*kH*kW, H*W) patch or sample matrix may
 # take: a tile of whole output rows in a forward, a block of input channels
 # in a backward.
 _PIECE_BYTES = 1 << 24
@@ -349,35 +324,38 @@ def _pieces(count: int, unit_bytes: int) -> list[slice]:
     return [slice(a, min(a + step, count)) for a in range(0, count, step)]
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """Patch matrix (C*kh*kw, ho*wo) from an already-padded (C, Hp, Wp) input."""
+def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Patch matrix (C*kh*kw, H*W) from a (C, H + kh - 1, W + kw - 1) padded input."""
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride][:, :ho, :wo]
-    return windows.transpose(0, 3, 4, 1, 2).reshape(xp.shape[0] * kh * kw, ho * wo)
+    return windows.transpose(0, 3, 4, 1, 2).reshape(xp.shape[0] * kh * kw, -1)
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of a (C_in, H, W) map with (C_out, C_in, kH, kW) filters."""
-    c_in, h, w = x.data.shape
-    c_out, c_in2, kh, kw = weight.data.shape
+def _check_kernel(op: str, x: Tensor, weight: Tensor) -> None:
+    """A same-size convolution needs matching channels and an odd kernel."""
+    c_in, c_in2, (kh, kw) = x.data.shape[0], weight.data.shape[1], weight.data.shape[2:]
     if c_in != c_in2:
-        raise ValueError(f"conv2d channel mismatch: input {c_in}, weight {c_in2}")
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
-    if ho <= 0 or wo <= 0:
-        raise ValueError(f"conv2d output would be empty for input {x.data.shape}, kernel {(kh, kw)}")
-    xp = np.zeros((c_in, h + 2 * padding, w + 2 * padding))
-    xp[:, padding:padding + h, padding:padding + w] = x.data
+        raise ValueError(f"{op} channel mismatch: input {c_in}, weight {c_in2}")
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ValueError(f"{op} keeps the map's size, so its kernel must be odd, got {kh}x{kw}")
+
+
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Same-size cross-correlation of a (C_in, H, W) map with (C_out, C_in, kH, kW)
+    filters: stride 1 and zero padding kH // 2, kW // 2, so the output is (C_out, H, W)."""
+    _check_kernel("conv2d", x, weight)
+    c_in, h, w = x.data.shape
+    c_out, _, kh, kw = weight.data.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.zeros((c_in, h + 2 * ph, w + 2 * pw))
+    xp[:, ph:ph + h, pw:pw + w] = x.data
     w_mat = weight.data.reshape(c_out, -1)
-    out = np.empty((c_out, ho * wo))
-    for rows in _pieces(ho, c_in * kh * kw * wo * 8):
-        band = xp[:, rows.start * stride:(rows.stop - 1) * stride + kh]
-        out[:, rows.start * wo:rows.stop * wo] = w_mat @ _im2col(
-            band, kh, kw, stride, rows.stop - rows.start, wo)
+    out = np.empty((c_out, h * w))
+    for rows in _pieces(h, c_in * kh * kw * w * 8):
+        band = xp[:, rows.start:rows.stop - 1 + kh]
+        out[:, rows.start * w:rows.stop * w] = w_mat @ _im2col(band, kh, kw)
     if bias is not None:
         out += bias.data[:, None]
-    out = out.reshape(c_out, ho, wo)
+    out = out.reshape(c_out, h, w)
 
     def backward(g):
         # each block rebuilds its patches from xp, forms its columns of d_w
@@ -385,16 +363,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         g_mat = g.reshape(c_out, -1)
         d_w = np.empty_like(w_mat)
         d_xp = np.zeros_like(xp)
-        for chans in _pieces(c_in, kh * kw * ho * wo * 8):
+        for chans in _pieces(c_in, kh * kw * h * w * 8):
             cols = slice(chans.start * kh * kw, chans.stop * kh * kw)
-            d_w[:, cols] = g_mat @ _im2col(xp[chans], kh, kw, stride, ho, wo).T
-            dp = (w_mat[:, cols].T @ g_mat).reshape(-1, kh, kw, ho, wo)
+            d_w[:, cols] = g_mat @ _im2col(xp[chans], kh, kw).T
+            dp = (w_mat[:, cols].T @ g_mat).reshape(-1, kh, kw, h, w)
             d_blk = d_xp[chans]
             for ky in range(kh):
                 for kx in range(kw):
-                    d_blk[:, ky:ky + stride * ho:stride, kx:kx + stride * wo:stride] += dp[:, ky, kx]
+                    d_blk[:, ky:ky + h, kx:kx + w] += dp[:, ky, kx]
             del dp  # before the next block's patches
-        d_x = d_xp[:, padding:padding + h, padding:padding + w]
+        d_x = d_xp[:, ph:ph + h, pw:pw + w]
         d_w = d_w.reshape(weight.data.shape)
         if bias is None:
             return d_x, d_w
@@ -474,36 +452,33 @@ def bilinear_sample(x: Tensor, xs: float, ys: float) -> Tensor:
 
 
 def deform_conv2d(x: Tensor, weight: Tensor, offsets: Tensor,
-                  bias: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
-    """Convolution whose kernel taps sample at grid + learned offset.
+                  bias: Tensor | None = None) -> Tensor:
+    """Same-size convolution whose kernel taps sample at grid + learned offset.
 
-    `offsets` is (2*kH*kW, H_out, W_out): channel 2n is the y shift and
-    channel 2n+1 the x shift of tap n, in pixels. Sampling is bilinear with
-    zero padding, so zero offsets reproduce conv2d exactly.
+    `offsets` is (2*kH*kW, H, W): channel 2n is the y shift and channel 2n+1
+    the x shift of tap n, in pixels. Sampling is bilinear with zero padding,
+    so zero offsets reproduce conv2d exactly.
     """
+    _check_kernel("deform_conv2d", x, weight)
     c_in, h, w = x.data.shape
-    c_out, c_in2, kh, kw = weight.data.shape
-    if c_in != c_in2:
-        raise ValueError(f"deform_conv2d channel mismatch: input {c_in}, weight {c_in2}")
+    c_out, _, kh, kw = weight.data.shape
     n = kh * kw
     if offsets.data.shape[0] != 2 * n:
         raise ValueError(f"expected {2 * n} offset channels, got {offsets.data.shape[0]}")
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
-    if offsets.data.shape[1:] != (ho, wo):
-        raise ValueError(f"offset spatial shape {offsets.data.shape[1:]} != output {(ho, wo)}")
+    if offsets.data.shape[1:] != (h, w):
+        raise ValueError(f"offset spatial shape {offsets.data.shape[1:]} != output {(h, w)}")
 
-    oy, ox = np.meshgrid(np.arange(ho), np.arange(wo), indexing="ij")
+    oy, ox = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     taps_y, taps_x = np.divmod(np.arange(n), kw)
-    # (N, ho, wo) absolute sampling coordinates
-    ys = (oy[None] * stride + taps_y[:, None, None] - padding) + offsets.data[0::2]
-    xs = (ox[None] * stride + taps_x[:, None, None] - padding) + offsets.data[1::2]
+    # (N, H, W) absolute sampling coordinates
+    ys = (oy[None] + taps_y[:, None, None] - kh // 2) + offsets.data[0::2]
+    xs = (ox[None] + taps_x[:, None, None] - kw // 2) + offsets.data[1::2]
     idx, wgt, (wy0, wy1, wx0, wx1) = _bilinear_plan(h, w, ys.ravel(), xs.ravel())
     w_mat = weight.data.reshape(c_out, -1)
     xz = _zero_column(x.data)
-    out = np.empty((c_out, ho * wo))
-    for rows in _pieces(ho, c_in * n * wo * 8):
-        cols = slice(rows.start * wo, rows.stop * wo)
+    out = np.empty((c_out, h * w))
+    for rows in _pieces(h, c_in * n * w * 8):
+        cols = slice(rows.start * w, rows.stop * w)
         # the tile's corners and weights, copied contiguous (a whole-map tile
         # is idx and wgt themselves), serve every channel's gather
         idx_t = idx.reshape(4, n, -1)[:, :, cols].reshape(4, -1)
@@ -511,7 +486,7 @@ def deform_conv2d(x: Tensor, weight: Tensor, offsets: Tensor,
         out[:, cols] = w_mat @ _sample(xz, idx_t, wgt_t).reshape(c_in * n, -1)
     if bias is not None:
         out += bias.data[:, None]
-    out = out.reshape(c_out, ho, wo)
+    out = out.reshape(c_out, h, w)
 
     def backward(g):
         # Block by block of input channels: the sample gradients, then one
@@ -522,8 +497,8 @@ def deform_conv2d(x: Tensor, weight: Tensor, offsets: Tensor,
         xz = _zero_column(x.data)
         d_w = np.empty_like(w_mat)
         d_x = np.empty((c_in, h, w))
-        d_off = np.empty((2, n * ho * wo))
-        for chans in _pieces(c_in, n * ho * wo * 8):
+        d_off = np.empty((2, n * h * w))
+        for chans in _pieces(c_in, n * h * w * 8):
             cols = slice(chans.start * n, chans.stop * n)
             d_s = (w_mat[:, cols].T @ g_mat).reshape(chans.stop - chans.start, -1)
             d_x[chans] = _scatter(d_s, idx, wgt, (len(d_s), h, w))
@@ -539,58 +514,16 @@ def deform_conv2d(x: Tensor, weight: Tensor, offsets: Tensor,
                     d_off[1] += g_x
                 else:
                     d_off[0], d_off[1] = g_y, g_x
-            d_w[:, cols] = g_mat @ s_blk.reshape(-1, ho * wo).T
+            d_w[:, cols] = g_mat @ s_blk.reshape(-1, h * w).T
             del d_s, s_blk  # before the next block's
         d_w = d_w.reshape(weight.data.shape)
-        d_off = d_off.reshape(2, n, ho, wo).swapaxes(0, 1).reshape(offsets.data.shape)
+        d_off = d_off.reshape(2, n, h, w).swapaxes(0, 1).reshape(offsets.data.shape)
         if bias is None:
             return d_x, d_w, d_off
         return d_x, d_w, d_off, g_mat.sum(axis=1)
 
     inputs = [x, weight, offsets] if bias is None else [x, weight, offsets, bias]
     return _record(inputs, out, backward)
-
-
-# ---------------------------------------------------------------------------
-# verification harness
-
-
-def gradient_check(f: Callable[..., Tensor], inputs: Sequence[Tensor],
-                   eps: float = 1e-5) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    Relative error divides by max(1, |analytic|, |numeric|) so tiny gradients
-    are compared absolutely.
-    """
-    for t in inputs:
-        t.zero_grad()
-    with Tape() as tape:
-        out = f(*inputs)
-        if out.data.size != 1:
-            raise ValueError("gradient_check needs a scalar-valued function")
-        tape.backward(out)
-    if not np.isfinite(out.data).all():
-        raise FloatingPointError("non-finite forward value")
-    worst = 0.0
-    for t in inputs:
-        analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
-        if not np.isfinite(analytic).all():
-            raise FloatingPointError("non-finite analytic gradient")
-        flat = t.data.reshape(-1)
-        a_flat = analytic.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            fp = f(*inputs).data.item()
-            flat[i] = orig - eps
-            fm = f(*inputs).data.item()
-            flat[i] = orig
-            numeric = (fp - fm) / (2.0 * eps)
-            if not np.isfinite(numeric):
-                raise FloatingPointError("non-finite numeric gradient")
-            denom = max(1.0, abs(a_flat[i]), abs(numeric))
-            worst = max(worst, abs(a_flat[i] - numeric) / denom)
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -605,8 +538,10 @@ def atomic_write(path, mode: str = "w"):
     """Open a temporary file beside `path` that replaces it once the block ends.
 
     A write that fails midway leaves the previous file intact and removes
-    the temporary one.
+    the temporary one. A directory at `path` is a ValueError naming it.
     """
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write {os.fspath(path)}: a directory is in the way")
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, mode) as f:

@@ -245,21 +245,12 @@ def rotated_iou_3d_many(box: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     return inter / (box[3] * box[4] * box[5] + boxes[:, 3] * boxes[:, 4] * boxes[:, 5] - inter)
 
 
-def _one_pair(many, a: Box3D, b: Box3D) -> float:
+def rotated_iou_bev(a: Box3D, b: Box3D) -> float:
+    """BEV IoU of two oriented boxes, in [0, 1]: one pair of rotated_iou_bev_many."""
     # Canonical argument order makes (a, b) and (b, a) give the same bits.
     if (a.cx, a.cy, a.l, a.w, a.yaw) > (b.cx, b.cy, b.l, b.w, b.yaw):
         a, b = b, a
-    return float(many(a.as_array(), b.as_array())[0])
-
-
-def rotated_iou_bev(a: Box3D, b: Box3D) -> float:
-    """BEV IoU of two oriented boxes, in [0, 1]: one pair of rotated_iou_bev_many."""
-    return _one_pair(rotated_iou_bev_many, a, b)
-
-
-def rotated_iou_3d(a: Box3D, b: Box3D) -> float:
-    """Volumetric IoU of two upright boxes: one pair of rotated_iou_3d_many."""
-    return _one_pair(rotated_iou_3d_many, a, b)
+    return float(rotated_iou_bev_many(a.as_array(), b.as_array())[0])
 
 
 # Each chunk of the query set holds at most this many (query, model) pairs,

@@ -187,8 +187,7 @@ def _backbone_bev(cloud: PointCloud, params: dict, config: NetworkConfig) -> Ten
 
 
 def _head(adapt: Tensor, params: dict) -> tuple[Tensor, Tensor]:
-    stem = engine.relu(engine.conv2d(
-        adapt, params["head.stem.weight"], params["head.stem.bias"], padding=1))
+    stem = engine.relu(engine.conv2d(adapt, params["head.stem.weight"], params["head.stem.bias"]))
     cls_map = engine.conv2d(stem, params["head.cls.weight"], params["head.cls.bias"])
     reg_map = engine.conv2d(stem, params["head.reg.weight"], params["head.reg.bias"])
     return cls_map, reg_map
@@ -198,11 +197,9 @@ def pfe_forward(cloud: PointCloud, params: dict, config: NetworkConfig) -> Forwa
     """Live branch: deformable adaptation layer guided by learned offsets."""
     validate_params(params, config, with_offsets=True)
     bev = _backbone_bev(cloud, params, config)
-    pad = config.deform_kernel // 2
-    offsets = engine.conv2d(bev, params["offsets.weight"], params["offsets.bias"],
-                            padding=pad)
+    offsets = engine.conv2d(bev, params["offsets.weight"], params["offsets.bias"])
     adapt = engine.relu(engine.deform_conv2d(
-        bev, params["adapt.weight"], offsets, params["adapt.bias"], padding=pad))
+        bev, params["adapt.weight"], offsets, params["adapt.bias"]))
     cls_map, reg_map = _head(adapt, params)
     return ForwardOutput(cls_map, reg_map, adapt, offsets)
 
@@ -212,9 +209,7 @@ def cfg_adapt_feature(cloud: PointCloud, params: dict, config: NetworkConfig) ->
     rigid conv, without the head. This is all the association reads."""
     validate_params(params, config, with_offsets=False)
     bev = _backbone_bev(cloud, params, config)
-    pad = config.deform_kernel // 2
-    return engine.relu(engine.conv2d(
-        bev, params["adapt.weight"], params["adapt.bias"], padding=pad))
+    return engine.relu(engine.conv2d(bev, params["adapt.weight"], params["adapt.bias"]))
 
 
 def cfg_forward(cloud: PointCloud, params: dict, config: NetworkConfig) -> ForwardOutput:

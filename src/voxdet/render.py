@@ -110,19 +110,3 @@ def write_ppm(path: str | os.PathLike, img: np.ndarray) -> None:
     with atomic_write(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(img.tobytes())
-
-
-def read_ppm(path: str | os.PathLike) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"P6":
-            raise ValueError(f"not a binary ppm: {magic!r}")
-        dims = fh.readline().split()
-        maxval = fh.readline().strip()
-        if len(dims) != 2 or maxval != b"255":
-            raise ValueError("unsupported ppm header")
-        w, h = int(dims[0]), int(dims[1])
-        data = fh.read(w * h * 3)
-    if len(data) != w * h * 3:
-        raise ValueError("truncated ppm payload")
-    return np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3).copy()

@@ -10,8 +10,8 @@ run seed, so reruns are bit-identical.
 """
 
 import math
+import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -236,9 +236,8 @@ def _batches(order: np.ndarray, size: int):
 def _maybe_checkpoint(params, directory, prefix, epoch, every):
     if directory is None or not every or epoch % every:
         return
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(directory / f"{prefix}_epoch{epoch:04d}.ckpt", params)
+    engine.make_dir(directory)
+    save_checkpoint(os.path.join(directory, f"{prefix}_epoch{epoch:04d}.ckpt"), params)
 
 
 def _backpropagate(staged, sample_loss, sums: np.ndarray, epoch: int, step: int) -> None:

@@ -21,13 +21,13 @@ from voxdet.conceptual import (
     compose_conceptual_scene,
     match_candidate,
 )
-from voxdet.config import mini_run_config
 from voxdet.detection_head import generate_anchors
 from voxdet.engine import Tensor
 from voxdet.evaluation import evaluate_detections, format_report, infer_detections
 from voxdet.geometry import Box3D, PointCloud, avg_closest_point_distance, points_in_box, rotated_iou_bev
 from voxdet.synthetic import SceneRecipe, synth_scene
 from voxdet.trainer import ScenePair, TrainConfig, format_loss_log, train_associate, train_cfg
+from helpers import mini_run_config
 
 GRAD_OPS = ("linear", "conv2d", "deform_conv2d", "sparse_conv",
             "focal_loss", "smooth_l1", "association_loss")

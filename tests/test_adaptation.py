@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from voxdet import engine
+from voxdet import verify
 from voxdet.adaptation import (
     COUNT_NONZERO,
     ReweightingMap,
@@ -189,7 +189,7 @@ def test_association_loss_nonzero_count_mode():
 
 def test_association_loss_gradient_check():
     f_p, f_c, rw = _random_case(5, c=3, h=4, w=4)
-    err = engine.gradient_check(lambda t: association_loss(t, f_c, rw), [f_p])
+    err = verify.gradient_check(lambda t: association_loss(t, f_c, rw), [f_p])
     assert err < 1e-5
 
 

@@ -17,15 +17,14 @@ from voxdet.config import (
     AnchorConfig,
     DataPaths,
     default_run_config,
+    dumps_config,
     load_config,
     loads_config,
-    mini_run_config,
-    save_config,
 )
 from voxdet.detection_head import generate_anchors
 from voxdet.geometry import Box3D
-from voxdet.render import read_ppm
 from voxdet.synthetic import SceneRecipe, make_dataset
+from helpers import mini_run_config, read_ppm
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +43,7 @@ def pipeline(tmp_path_factory):
                        out=str(root / "runs")),
         train=replace(cfg.train, epochs=2, batch_size=2))
     cfg_path = root / "run.yaml"
-    save_config(cfg_path, cfg)
+    cfg_path.write_text(dumps_config(cfg))
     rcs["build"] = cli.main(["build-conceptual", "--config", str(cfg_path)])
     rcs["train_cfg"] = cli.main(["train-cfg", "--config", str(cfg_path)])
     rcs["train"] = cli.main(["train", "--config", str(cfg_path)])
@@ -114,7 +113,7 @@ def test_train_cfg_writes_per_epoch_checkpoints(pipeline):
     cfg = replace(base, data=replace(base.data, out=str(out)),
                   train=replace(base.train, epochs=2, checkpoint_every=1))
     path = pipeline["root"] / "every_epoch.yaml"
-    save_config(path, cfg)
+    path.write_text(dumps_config(cfg))
     assert cli.main(["train-cfg", "--config", str(path)]) == 0
     assert sorted(p.name for p in out.glob("*.ckpt")) == [
         "cfg.ckpt", "cfg_epoch0001.ckpt", "cfg_epoch0002.ckpt"]
@@ -127,7 +126,7 @@ def test_train_without_reference_checkpoint_is_missing(pipeline, capsys):
                   data=replace(pipeline["cfg"].data,
                                out=str(pipeline["root"] / "empty_runs")))
     path = pipeline["root"] / "fresh.yaml"
-    save_config(path, cfg)
+    path.write_text(dumps_config(cfg))
     assert cli.main(["train", "--config", str(path)]) == 3
     assert "reference checkpoint not found" in capsys.readouterr().err
 
@@ -142,7 +141,7 @@ def test_training_assigns_targets_with_the_configured_anchors(pipeline, monkeypa
                   data=replace(base.data, out=str(pipeline["root"] / f"anchors_{command}")),
                   train=replace(base.train, epochs=1))
     path = pipeline["root"] / f"anchors_{command}.yaml"
-    save_config(path, cfg)
+    path.write_text(dumps_config(cfg))
     seen = []
     assign = trainer.assign_targets
 
@@ -204,6 +203,17 @@ def test_eval_report_write_failing_midway_keeps_previous(pipeline, tmp_path,
     assert os.listdir(tmp_path) == ["eval_real.txt"]
 
 
+def test_eval_report_path_holding_a_directory_exits_4(pipeline, tmp_path, capsys):
+    report = tmp_path / "runs" / "eval_real.txt"
+    report.mkdir(parents=True)
+    rc = cli.main(["eval", "--config", pipeline["cfg_path"], "--out", str(tmp_path / "runs"),
+                   "--checkpoint", str(pipeline["root"] / "runs" / "pfe.ckpt")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert f"error: cannot write {report}: a directory is in the way" in err
+    assert os.listdir(tmp_path / "runs") == ["eval_real.txt"]  # no temporary file left
+
+
 def test_eval_truncated_checkpoint_exits_4(pipeline, tmp_path, capsys):
     raw = (pipeline["root"] / "runs" / "pfe.ckpt").read_bytes()
     partial = tmp_path / "partial.ckpt"
@@ -259,20 +269,17 @@ def test_render_bev_runs_the_live_branch_once_per_scene(pipeline, monkeypatch,
     assert len(calls) == 3
 
 
-def test_seed_and_out_overrides_resolve():
+def test_seed_and_out_overrides_resolve(tmp_path):
     cfg = mini_run_config()
-    path = "/tmp/voxdet_override_test.yaml"
-    save_config(path, cfg)
-    try:
-        ns = argparse.Namespace(config=path, seed=11, out="elsewhere")
-        got = cli._resolve_config(ns)
-        assert got.train.seed == 11
-        assert got.data.out == "elsewhere"
-        ns = argparse.Namespace(config=path, seed=None, out=None)
-        got = cli._resolve_config(ns)
-        assert got.data.out == cfg.data.out
-    finally:
-        os.remove(path)
+    path = tmp_path / "run.yaml"
+    path.write_text(dumps_config(cfg))
+    ns = argparse.Namespace(config=path, seed=11, out="elsewhere")
+    got = cli._resolve_config(ns)
+    assert got.train.seed == 11
+    assert got.data.out == "elsewhere"
+    ns = argparse.Namespace(config=path, seed=None, out=None)
+    got = cli._resolve_config(ns)
+    assert got.data.out == cfg.data.out
 
 
 def test_missing_config_exits_3(tmp_path, capsys):
@@ -331,10 +338,21 @@ def test_output_path_blocked_by_a_file_exits_4(tmp_path, capsys, argv):
     make_dataset(str(tmp_path / "scenes"), 1, 0, SceneRecipe(n_cars=1, base_points=40))
     cfg = replace(mini_run_config(), data=DataPaths(scenes=str(tmp_path / "scenes"),
                                                     conceptual=str(blocker), out=str(blocker)))
-    save_config(tmp_path / "run.yaml", cfg)
+    (tmp_path / "run.yaml").write_text(dumps_config(cfg))
     argv = [a.format(file=blocker, cfg=tmp_path / "run.yaml") for a in argv]
     assert cli.main(argv) == 4
     assert f"error: cannot make directory {blocker}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [("out", "null"), ("scenes", "5"), ("conceptual", '""')],
+                         ids=["null", "number", "empty"])
+def test_data_path_that_is_not_a_path_exits_4_naming_it(tmp_path, capsys, field, value):
+    path = tmp_path / "run.yaml"
+    path.write_text(f"data:\n  {field}: {value}\n")
+    assert cli.main(["render-bev", "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert f": data.{field} must be a non-empty path" in err
+    assert "Traceback" not in err
 
 
 def test_dump_defaults_roundtrip(capsys):

@@ -12,12 +12,11 @@ from voxdet.config import (
     from_dict,
     load_config,
     loads_config,
-    mini_run_config,
-    save_config,
     to_dict,
 )
 from voxdet.trainer import TrainConfig
 from voxdet.voxelizer import mini_grid
+from helpers import mini_run_config
 
 
 def test_defaults_carry_the_training_recipe():
@@ -98,7 +97,7 @@ def test_network_grid_mismatch_rejected():
 def test_file_io(tmp_path):
     path = tmp_path / "run.yaml"
     cfg = mini_run_config()
-    save_config(path, cfg)
+    path.write_text(dumps_config(cfg))
     assert load_config(path) == cfg
     with pytest.raises(FileNotFoundError, match="missing.yaml"):
         load_config(tmp_path / "missing.yaml")

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from voxdet import engine
+from voxdet import verify
 from voxdet.detection_head import (
     CONVENTION_LINEAGE,
     CONVENTION_PRINTED,
@@ -349,7 +349,7 @@ def test_focal_matches_loop_oracle_and_gradient():
     t = Tensor(logits, requires_grad=True)
     loss = focal_loss(t, labels)
     assert loss.item() == pytest.approx(focal_oracle(logits, labels, 0.25, 2.0), abs=1e-10)
-    err = engine.gradient_check(lambda t: focal_loss(t, labels), [t])
+    err = verify.gradient_check(lambda t: focal_loss(t, labels), [t])
     assert err < 1e-6
 
 
@@ -418,7 +418,7 @@ def test_smooth_l1_averages_over_positives_and_grad():
             x = pred.data[row, k] - target[row, k]
             total += 0.5 * x * x if abs(x) < 1 else abs(x) - 0.5
     assert smooth_l1_loss(pred, assign).item() == pytest.approx(total / 2, abs=1e-12)
-    err = engine.gradient_check(lambda t: smooth_l1_loss(t, assign), [pred])
+    err = verify.gradient_check(lambda t: smooth_l1_loss(t, assign), [pred])
     assert err < 1e-5
 
 

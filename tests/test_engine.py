@@ -1,4 +1,3 @@
-import itertools
 import math
 import os
 import tracemalloc
@@ -16,7 +15,6 @@ from voxdet.engine import (
     bilinear_sample,
     conv2d,
     deform_conv2d,
-    gradient_check,
     linear,
     load_checkpoint,
     matmul,
@@ -30,6 +28,7 @@ from voxdet.engine import (
     tmean,
     tsum,
 )
+from voxdet.verify import gradient_check
 from oracles import (
     dense_conv2d,
     im2col_conv2d,
@@ -60,20 +59,21 @@ def test_conv2d_identity_kernel():
 
 
 def test_conv2d_constant_field():
+    # zero padding keeps the size: 9 taps inside, 6 on an edge, 4 in a corner
     x = Tensor(np.ones((1, 5, 5)))
     w = Tensor(np.ones((1, 1, 3, 3)))
     out = conv2d(x, w)
-    assert out.data.shape == (1, 3, 3)
-    np.testing.assert_array_equal(out.data, np.full((1, 3, 3), 9.0))
+    assert out.data.shape == (1, 5, 5)
+    edge = np.array([2.0, 3.0, 3.0, 3.0, 2.0])
+    np.testing.assert_array_equal(out.data[0], np.outer(edge, edge))
 
 
-@pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
-def test_conv2d_matches_loop_oracle(stride, padding):
+def test_conv2d_matches_loop_oracle():
     x = rand((2, 4, 4), 1)
     w = rand((3, 2, 3, 3), 2)
     b = rand((3,), 3)
-    out = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
-    want = dense_conv2d(x, w, b, stride=stride, padding=padding)
+    out = conv2d(Tensor(x), Tensor(w), Tensor(b))
+    want = dense_conv2d(x, w, b, stride=1, padding=1)
     np.testing.assert_allclose(out.data, want, atol=1e-12)
 
 
@@ -82,37 +82,45 @@ def test_conv2d_shape_mismatch():
         conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 5, 3, 3))))
 
 
+@pytest.mark.parametrize("kernel", [(2, 2), (3, 4)])
+def test_convolutions_reject_an_even_kernel(kernel):
+    x = Tensor(np.zeros((1, 6, 6)))
+    w = Tensor(np.zeros((1, 1, *kernel)))
+    with pytest.raises(ValueError, match="kernel must be odd"):
+        conv2d(x, w)
+    off = Tensor(np.zeros((2 * kernel[0] * kernel[1], 6, 6)))
+    with pytest.raises(ValueError, match="kernel must be odd"):
+        deform_conv2d(x, w, off)
+
+
 def test_deform_zero_offsets_equals_conv_exactly():
     # the 1x1 kernel with one output channel multiplies a matrix by a vector,
     # where the sampled matrix's memory order picks the BLAS path
-    for c_in, c_out, k in ((2, 4, 3), (4, 1, 1)):
+    for c_in, c_out, k in ((2, 4, 3), (4, 1, 1), (2, 3, 5)):
         x = Tensor(rand((c_in, 6, 6), 4))
         w = Tensor(rand((c_out, c_in, k, k), 5))
         b = Tensor(rand((c_out,), 6))
-        for padding in (0, 1, 2):
-            ho = 6 + 2 * padding - k + 1
-            off = Tensor(np.zeros((2 * k * k, ho, ho)))
-            got = deform_conv2d(x, w, off, b, padding=padding)
-            want = conv2d(x, w, b, padding=padding)
-            assert np.array_equal(got.data, want.data)
+        off = Tensor(np.zeros((2 * k * k, 6, 6)))
+        got = deform_conv2d(x, w, off, b)
+        want = conv2d(x, w, b)
+        assert np.array_equal(got.data, want.data)
 
 
 def test_deform_integer_shift_equals_shifted_conv():
     x = rand((1, 6, 6), 7)
     w = rand((2, 1, 3, 3), 8)
-    off = np.zeros((18, 4, 4))
+    off = np.zeros((18, 6, 6))
     off[1::2] = 1.0  # shift every tap one pixel in +x
     got = deform_conv2d(Tensor(x), Tensor(w), Tensor(off))
-    shifted = x[:, :, 1:]  # 1x6x5
-    want = conv2d(Tensor(shifted), Tensor(w))  # 2x4x3
-    np.testing.assert_allclose(got.data[:, :, :3], want.data, atol=1e-12)
+    want = conv2d(Tensor(x), Tensor(w))
+    np.testing.assert_allclose(got.data[:, :, :-1], want.data[:, :, 1:], atol=1e-12)
 
 
 def test_deform_fractional_offsets_per_tap_oracle():
     rng = np.random.default_rng(9)
     x = rng.uniform(-1, 1, (1, 6, 6))
     w = rng.uniform(-1, 1, (2, 1, 3, 3))
-    off = rng.uniform(-1.3, 1.3, (18, 4, 4))
+    off = rng.uniform(-1.3, 1.3, (18, 6, 6))
 
     def sample(c, y, x_):
         total = 0.0
@@ -125,12 +133,12 @@ def test_deform_fractional_offsets_per_tap_oracle():
 
     got = deform_conv2d(Tensor(x), Tensor(w), Tensor(off))
     for co in range(2):
-        for oy in range(4):
-            for ox in range(4):
+        for oy in range(6):
+            for ox in range(6):
                 acc = 0.0
                 for n, (ky, kx) in enumerate((a, b) for a in range(3) for b in range(3)):
-                    yy = oy + ky + off[2 * n, oy, ox]
-                    xx = ox + kx + off[2 * n + 1, oy, ox]
+                    yy = oy + ky - 1 + off[2 * n, oy, ox]
+                    xx = ox + kx - 1 + off[2 * n + 1, oy, ox]
                     acc += w[co, 0, ky, kx] * sample(0, yy, xx)
                 assert got.data[co, oy, ox] == pytest.approx(acc, abs=1e-12)
 
@@ -159,8 +167,8 @@ def test_bilinear_sample_basics():
 def test_forward_determinism():
     x = Tensor(rand((3, 8, 8), 10))
     w = Tensor(rand((4, 3, 3, 3), 11))
-    a = conv2d(x, w, padding=1).data.tobytes()
-    b = conv2d(x, w, padding=1).data.tobytes()
+    a = conv2d(x, w).data.tobytes()
+    b = conv2d(x, w).data.tobytes()
     assert a == b
 
 
@@ -291,10 +299,9 @@ def test_grad_conv2d():
     x = Tensor(rand((2, 5, 5), 31), requires_grad=True)
     w = Tensor(rand((3, 2, 3, 3), 32), requires_grad=True)
     b = Tensor(rand((3,), 33), requires_grad=True)
-    _gc(lambda x, w, b: tsum(conv2d(x, w, b, stride=2, padding=1)), [x, w, b])
+    _gc(lambda x, w, b: tsum(conv2d(x, w, b)), [x, w, b])
     # squared output exercises the chain through the conv result
-    _gc(lambda x, w, b: tsum(mul(conv2d(x, w, b, padding=1), conv2d(x, w, b, padding=1))),
-        [x, w, b])
+    _gc(lambda x, w, b: tsum(mul(conv2d(x, w, b), conv2d(x, w, b))), [x, w, b])
 
 
 def test_grad_deform_conv2d():
@@ -302,21 +309,20 @@ def test_grad_deform_conv2d():
     x = Tensor(rng.uniform(-1, 1, (2, 6, 6)), requires_grad=True)
     w = Tensor(rng.uniform(-1, 1, (2, 2, 3, 3)), requires_grad=True)
     # offsets well away from integers so bilinear weights are smooth locally
-    off = Tensor(rng.uniform(0.2, 0.8, (18, 4, 4)) * rng.choice([-1, 1], (18, 4, 4)),
+    off = Tensor(rng.uniform(0.2, 0.8, (18, 6, 6)) * rng.choice([-1, 1], (18, 6, 6)),
                  requires_grad=True)
     b = Tensor(rng.uniform(-1, 1, (2,)), requires_grad=True)
     _gc(lambda x, w, off, b: tsum(deform_conv2d(x, w, off, b)), [x, w, off, b], tol=1e-5)
 
 
-def _deform_case(seed, c_in=3, c_out=2, size=6, stride=1, padding=1, k=3):
+def _deform_case(seed, c_in=3, c_out=2, size=6, k=3):
     """Random input, kxk weights, upstream gradient and offsets that mix
     fractional, integer and far-off-grid sampling positions."""
     rng = np.random.default_rng(seed)
-    ho = (size + 2 * padding - k) // stride + 1
     x = rng.uniform(-1, 1, (c_in, size, size))
     w = rng.uniform(-1, 1, (c_out, c_in, k, k))
-    g = rng.uniform(-1, 1, (c_out, ho, ho))
-    off = rng.uniform(-2.5, 2.5, (2 * k * k, ho, ho))
+    g = rng.uniform(-1, 1, (c_out, size, size))
+    off = rng.uniform(-2.5, 2.5, (2 * k * k, size, size))
     pick = rng.random(off.shape)
     off[pick < 0.3] = np.round(off[pick < 0.3])
     off[pick > 0.85] *= 8.0
@@ -325,48 +331,48 @@ def _deform_case(seed, c_in=3, c_out=2, size=6, stride=1, padding=1, k=3):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_deform_input_grad_matches_loop_oracle_bit_for_bit(seed):
-    stride, padding = (1, 1) if seed % 2 else (2, 2)
-    x, w, g, off = _deform_case(seed, stride=stride, padding=padding)
+    k = 3 if seed % 2 else 5
+    x, w, g, off = _deform_case(seed, k=k)
     xt = Tensor(x, requires_grad=True)
     with Tape() as tape:
-        out = deform_conv2d(xt, Tensor(w), Tensor(off), stride=stride, padding=padding)
+        out = deform_conv2d(xt, Tensor(w), Tensor(off))
         tape.backward(out, seed=g)
     c_in = x.shape[0]
     d_sampled = (w.reshape(w.shape[0], -1).T @ g.reshape(g.shape[0], -1)).reshape(
-        c_in, 9, *g.shape[1:])
-    want = loop_deform_input_grad(d_sampled, off, x.shape, stride=stride, padding=padding)
+        c_in, k * k, *g.shape[1:])
+    want = loop_deform_input_grad(d_sampled, off, x.shape, stride=1, padding=k // 2)
     assert np.array_equal(xt.grad, want)
 
 
 def _deform_order_case(seed):
-    """A 3x3 or 5x5 case at stride 1 or 2, with some inputs -0.0."""
-    k, stride, padding = ((3, 1, 1), (5, 2, 2), (3, 2, 0), (5, 1, 3))[seed % 4]
-    x, w, g, off = _deform_case(seed, c_in=4, size=7, stride=stride, padding=padding, k=k)
+    """A 3x3 (even seed) or 5x5 (odd seed) case with some inputs -0.0."""
+    k = (3, 5)[seed % 2]
+    x, w, g, off = _deform_case(seed, c_in=4, size=7, k=k)
     x[np.random.default_rng(seed).random(x.shape) < 0.1] = -0.0
-    return x, w, g, off, k, stride, padding
+    return x, w, g, off, k
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_deform_samples_match_loop_oracle_bit_for_bit(seed):
     # an identity weight over the C_in*k*k sampled rows outputs the samples
-    x, _, _, off, k, stride, padding = _deform_order_case(seed)
+    x, _, _, off, k = _deform_order_case(seed)
     rows = x.shape[0] * k * k
     eye = Tensor(np.eye(rows).reshape(rows, x.shape[0], k, k))
-    out = deform_conv2d(Tensor(x), eye, Tensor(off), stride=stride, padding=padding)
-    want = loop_deform_samples(x, off, stride=stride, padding=padding)
+    out = deform_conv2d(Tensor(x), eye, Tensor(off))
+    want = loop_deform_samples(x, off, stride=1, padding=k // 2)
     assert np.array_equal(out.data, want.reshape(out.data.shape))
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_deform_offset_grad_matches_loop_oracle_bit_for_bit(seed):
-    x, w, g, off, k, stride, padding = _deform_order_case(seed)
+    x, w, g, off, k = _deform_order_case(seed)
     ot = Tensor(off, requires_grad=True)
     with Tape() as tape:
-        out = deform_conv2d(Tensor(x), Tensor(w), ot, stride=stride, padding=padding)
+        out = deform_conv2d(Tensor(x), Tensor(w), ot)
         tape.backward(out, seed=g)
     d_sampled = (w.reshape(w.shape[0], -1).T @ g.reshape(g.shape[0], -1)).reshape(
         x.shape[0], k * k, *g.shape[1:])
-    want = loop_deform_offset_grad(x, d_sampled, off, stride=stride, padding=padding)
+    want = loop_deform_offset_grad(x, d_sampled, off, stride=1, padding=k // 2)
     assert np.array_equal(ot.grad, want)
 
 
@@ -379,11 +385,11 @@ def test_deform_offset_grad_at_integer_positions_is_the_right_difference():
     off[8:10, -1, :] = 0.0  # tap (1, 1) of the bottom row reads the last row: far corner off
 
     def loss(o):
-        return float((deform_conv2d(Tensor(x), Tensor(w), Tensor(o), padding=1).data * g).sum())
+        return float((deform_conv2d(Tensor(x), Tensor(w), Tensor(o)).data * g).sum())
 
     ot = Tensor(off.copy(), requires_grad=True)
     with Tape() as tape:
-        tape.backward(deform_conv2d(Tensor(x), Tensor(w), ot, padding=1), seed=g)
+        tape.backward(deform_conv2d(Tensor(x), Tensor(w), ot), seed=g)
     eps = 1e-6
     base = loss(off)
     right = np.zeros_like(off)
@@ -395,14 +401,14 @@ def test_deform_offset_grad_at_integer_positions_is_the_right_difference():
     assert np.abs(right).max() > 0.1
 
 
-def _taped_conv(op, x, weight, *rest, bias, stride, padding, g):
+def _taped_conv(op, x, weight, *rest, bias, g):
     """Run op on a tape and backpropagate g; returns the output and the
     gradients of x, weight, the rest and the bias, in the order
     im2col_conv2d and loop_deform_conv2d return them."""
     ts = [Tensor(a, requires_grad=True) for a in (x, weight, *rest)]
     bt = None if bias is None else Tensor(bias, requires_grad=True)
     with Tape() as tape:
-        out = op(*ts, bt, stride=stride, padding=padding)
+        out = op(*ts, bt)
         tape.backward(out, seed=g)
     return out.data, *(t.grad for t in ts), None if bt is None else bt.grad
 
@@ -412,8 +418,8 @@ def _same_bytes(got, want):
         assert (a is None and b is None) or np.array_equal(a, b)
 
 
-_CONV_CASES = [(3, 4, 9, 8, k, stride, padding)
-               for k, stride, padding in itertools.product((1, 3, 5), (1, 2), (0, 1, 2))]
+# the oracles' stride and padding: the convolutions keep the map's size
+_CONV_CASES = [(3, 4, 9, 8, k, 1, k // 2) for k in (1, 3, 5)]
 
 
 @pytest.mark.parametrize("c_in,c_out,h,w,k,stride,padding",
@@ -424,26 +430,25 @@ def test_conv2d_matches_stored_patch_oracle_bit_for_bit(c_in, c_out, h, w, k, st
     rng = np.random.default_rng([c_in, h, k, stride, padding])
     x, weight = rng.uniform(-1, 1, (c_in, h, w)), rng.uniform(-1, 1, (c_out, c_in, k, k))
     bias = rng.uniform(-1, 1, c_out) if (k + stride + padding) % 2 else None
-    ho, wo = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
-    g = rng.uniform(-1, 1, (c_out, ho, wo))
-    got = _taped_conv(conv2d, x, weight, bias=bias, stride=stride, padding=padding, g=g)
+    g = rng.uniform(-1, 1, (c_out, h, w))
+    got = _taped_conv(conv2d, x, weight, bias=bias, g=g)
     _same_bytes(got, im2col_conv2d(x, weight, bias, stride, padding, g))
 
 
 @pytest.mark.parametrize("seed", range(2))
 def test_deform_conv2d_matches_loop_formula_bit_for_bit(seed):
-    x, w, g, off, k, stride, padding = _deform_order_case(seed)
+    x, w, g, off, k = _deform_order_case(seed)
     bias = np.random.default_rng(seed).uniform(-1, 1, w.shape[0]) if seed else None
-    got = _taped_conv(deform_conv2d, x, w, off, bias=bias, stride=stride, padding=padding, g=g)
-    _same_bytes(got, loop_deform_conv2d(x, w, off, bias, stride, padding, g))
+    got = _taped_conv(deform_conv2d, x, w, off, bias=bias, g=g)
+    _same_bytes(got, loop_deform_conv2d(x, w, off, bias, 1, k // 2, g))
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_whole_deform_oracle_matches_loop_oracles_bit_for_bit(seed):
-    x, w, g, off, k, stride, padding = _deform_order_case(seed)
+    x, w, g, off, k = _deform_order_case(seed)
     bias = np.random.default_rng(seed).uniform(-1, 1, w.shape[0]) if seed % 2 else None
-    _same_bytes(whole_deform_conv2d(x, w, off, bias, stride, padding, g),
-                loop_deform_conv2d(x, w, off, bias, stride, padding, g))
+    _same_bytes(whole_deform_conv2d(x, w, off, bias, 1, k // 2, g),
+                loop_deform_conv2d(x, w, off, bias, 1, k // 2, g))
 
 
 def _count_pieces(monkeypatch):
@@ -461,10 +466,10 @@ def _count_pieces(monkeypatch):
     return counts
 
 
+# stride is the oracles' (and seeds the data); the convolutions keep the map's size
 @pytest.mark.parametrize("op", ["conv2d", "deform_conv2d"])
 @pytest.mark.parametrize("h,w,k,stride",
-                         [(48, 48, k, stride) for k, stride in itertools.product((3, 5), (1, 2))]
-                         + [(36, 72, 5, 1), (40, 40, 3, 2)])
+                         [(48, 48, 3, 1), (48, 48, 5, 1), (36, 72, 5, 1), (40, 40, 3, 1)])
 def test_tiles_and_blocks_match_whole_matrix_oracles_bit_for_bit(monkeypatch, op, h, w, k, stride):
     # a budget of a quarter of the (C*k*k, H*W) matrix splits the forward into
     # row tiles and the backward into channel blocks; no byte may move
@@ -473,21 +478,19 @@ def test_tiles_and_blocks_match_whole_matrix_oracles_bit_for_bit(monkeypatch, op
     x = rng.uniform(-1, 1, (c_in, h, w))
     x[rng.random(x.shape) < 0.1] = -0.0
     weight = rng.uniform(-1, 1, (c_out, c_in, k, k))
-    bias = rng.uniform(-1, 1, c_out) if stride == 1 else None
-    ho, wo = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
-    g = rng.uniform(-1, 1, (c_out, ho, wo))
-    monkeypatch.setattr(eng, "_PIECE_BYTES", c_in * k * k * ho * wo * 8 // 4)
+    bias = rng.uniform(-1, 1, c_out)
+    g = rng.uniform(-1, 1, (c_out, h, w))
+    monkeypatch.setattr(eng, "_PIECE_BYTES", c_in * k * k * h * w * 8 // 4)
     counts = _count_pieces(monkeypatch)
     if op == "conv2d":
-        got = _taped_conv(conv2d, x, weight, bias=bias, stride=stride, padding=padding, g=g)
+        got = _taped_conv(conv2d, x, weight, bias=bias, g=g)
         want = im2col_conv2d(x, weight, bias, stride, padding, g)
     else:
-        off = rng.uniform(-2.5, 2.5, (2 * k * k, ho, wo))
+        off = rng.uniform(-2.5, 2.5, (2 * k * k, h, w))
         pick = rng.random(off.shape)
         off[pick < 0.3] = np.round(off[pick < 0.3])
         off[pick > 0.9] *= 8.0
-        got = _taped_conv(deform_conv2d, x, weight, off, bias=bias, stride=stride,
-                          padding=padding, g=g)
+        got = _taped_conv(deform_conv2d, x, weight, off, bias=bias, g=g)
         want = whole_deform_conv2d(x, weight, off, bias, stride, padding, g)
     assert len(counts) == 2 and min(counts) >= 4  # forward tiles, backward blocks
     _same_bytes(got, want)
@@ -508,7 +511,7 @@ def _traced_conv_memory(op, c, size, k, with_offsets):
     try:
         with Tape() as tape:
             before = tracemalloc.get_traced_memory()[0]
-            out = op(x, w, *extra, padding=k // 2)
+            out = op(x, w, *extra)
             kept, fwd_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             tape.backward(out, seed=g)
@@ -548,8 +551,8 @@ def test_tape_backward_runs_once_and_releases_each_closure():
     off = Tensor(rand((18, 6, 6), 73), requires_grad=True)
     unused = Tensor(rand((2,), 74), requires_grad=True)
     with Tape() as tape:
-        feat = relu(conv2d(x, w, padding=1))
-        loss = tsum(deform_conv2d(feat, w, off, padding=1))
+        feat = relu(conv2d(x, w))
+        loss = tsum(deform_conv2d(feat, w, off))
         mul(unused, unused)  # recorded, but off the loss's path
         tape.backward(loss)
     assert len(tape.records) == 5
@@ -569,7 +572,7 @@ def test_grad_bilinear_sample():
 def test_grad_matches_independent_numeric_oracle():
     # cross-check gradient_check itself against the standalone oracle once
     x0 = rand((2, 3, 3), 36)
-    w0 = rand((2, 2, 2, 2), 37)
+    w0 = rand((2, 2, 3, 3), 37)
     x = Tensor(x0.copy(), requires_grad=True)
     with Tape() as tape:
         out = tsum(conv2d(x, Tensor(w0)))
@@ -587,7 +590,7 @@ def test_grad_conv2d_randomized_shapes(c, h, w, co, k, seed):
     rng = np.random.default_rng(seed)
     x = Tensor(rng.uniform(-1, 1, (c, h, w)), requires_grad=True)
     wt = Tensor(rng.uniform(-1, 1, (co, c, k, k)), requires_grad=True)
-    err = gradient_check(lambda x, wt: tsum(conv2d(x, wt, padding=k // 2)), [x, wt])
+    err = gradient_check(lambda x, wt: tsum(conv2d(x, wt)), [x, wt])
     assert err < 1e-5
 
 

@@ -12,7 +12,6 @@ from voxdet.geometry import (
     box_corners_bev,
     normalize_angle,
     points_in_box,
-    rotated_iou_3d,
     rotated_iou_3d_many,
     rotated_iou_bev,
     rotated_iou_bev_many,
@@ -94,14 +93,14 @@ def test_points_in_box_rotated_oracle():
 def test_iou_identical_boxes():
     b = Box3D(1.0, 2.0, 0.0, 3.9, 1.6, 1.56, 0.3)
     assert rotated_iou_bev(b, b) == pytest.approx(1.0, abs=1e-12)
-    assert rotated_iou_3d(b, b) == pytest.approx(1.0, abs=1e-12)
+    assert rotated_iou_3d_many(b.as_array(), b.as_array())[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_iou_disjoint_boxes():
     a = Box3D(0, 0, 0, 2, 2, 2, 0.0)
     b = Box3D(10, 0, 0, 2, 2, 2, 0.5)
     assert rotated_iou_bev(a, b) == 0.0
-    assert rotated_iou_3d(a, b) == 0.0
+    assert rotated_iou_3d_many(a.as_array(), b.as_array())[0] == 0.0
 
 
 def test_iou_half_overlap_exact():
@@ -125,7 +124,7 @@ def test_iou_z_offset_3d():
     a = Box3D(0, 0, 0.0, 2, 2, 2, 0.0)
     b = Box3D(0, 0, 1.0, 2, 2, 2, 0.0)
     # BEV identical; z overlap 1 of 2 -> inter 4, union 16-4=12
-    assert rotated_iou_3d(a, b) == pytest.approx(4.0 / 12.0, abs=1e-12)
+    assert rotated_iou_3d_many(a.as_array(), b.as_array())[0] == pytest.approx(4.0 / 12.0, abs=1e-12)
 
 
 def test_iou_monte_carlo_agreement():
@@ -218,7 +217,8 @@ def test_iou_3d_many_matches_clipper_on_random_pairs():
         want = np.array([clip_iou_3d(a, b) for b in others])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert (got >= 0.0).all() and (got <= 1.0).all()
-        assert [rotated_iou_3d(a, b) for b in others] == [rotated_iou_3d(b, a) for b in others]
+        swapped = [rotated_iou_3d_many(b.as_array(), a.as_array())[0] for b in others]
+        np.testing.assert_allclose(swapped, got, rtol=0, atol=1e-12)
         overlapping += int((want > 0).sum())
     assert overlapping > 200
     assert rotated_iou_3d_many(a.as_array(), np.zeros((0, 7))).shape == (0,)

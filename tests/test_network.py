@@ -138,12 +138,10 @@ def test_empty_cloud_gives_bias_only_response():
 
     # oracle: feed an explicitly all-zero BEV map through the same layers
     bev = Tensor(np.zeros((cfg.bev_channels, 8, 8)))
-    offsets = engine.conv2d(bev, params["offsets.weight"], params["offsets.bias"],
-                            padding=2)
+    offsets = engine.conv2d(bev, params["offsets.weight"], params["offsets.bias"])
     adapt = engine.relu(engine.deform_conv2d(
-        bev, params["adapt.weight"], offsets, params["adapt.bias"], padding=2))
-    stem = engine.relu(engine.conv2d(
-        adapt, params["head.stem.weight"], params["head.stem.bias"], padding=1))
+        bev, params["adapt.weight"], offsets, params["adapt.bias"]))
+    stem = engine.relu(engine.conv2d(adapt, params["head.stem.weight"], params["head.stem.bias"]))
     want_cls = engine.conv2d(stem, params["head.cls.weight"], params["head.cls.bias"])
     np.testing.assert_array_equal(out.cls_map.data, want_cls.data)
 

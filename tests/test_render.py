@@ -9,12 +9,12 @@ from voxdet.render import (
     draw_box,
     draw_points,
     heat_overlay,
-    read_ppm,
     render_scene,
     world_to_pixel,
     write_ppm,
 )
 from voxdet.voxelizer import mini_grid
+from helpers import read_ppm
 
 
 def test_world_to_pixel_corners():

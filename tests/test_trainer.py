@@ -172,6 +172,14 @@ def test_train_cfg_smoke_and_determinism():
     assert "offsets.weight" not in params_a
 
 
+def test_epoch_checkpoint_below_a_file_is_a_value_error(tmp_path):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    tc = TrainConfig(batch_size=1, epochs=1, checkpoint_every=1)
+    with pytest.raises(ValueError, match=f"cannot make directory {blocker / 'ckpts'}"):
+        train_cfg([scene_fixture(seed=5)], mini_net(), tc, checkpoint_dir=str(blocker / "ckpts"))
+
+
 def test_train_cfg_rejects_empty_dataset():
     with pytest.raises(ValueError, match="empty"):
         train_cfg([], mini_net(), TrainConfig())
