@@ -138,10 +138,12 @@ class Tape:
                     grads[key] = grads[key] + g
                 else:
                     grads[key] = g
-        # anything left in the map is a leaf; push into .grad buffers
+        # anything left in the map is a leaf; push into .grad buffers,
+        # dropping each from the map so no gradient is held twice
         by_id = {id(t): t for rec in self.records for t in rec.inputs}
         by_id[id(loss)] = loss
-        for key, g in grads.items():
+        for key in list(grads):
+            g = grads.pop(key)
             t = by_id.get(key)
             if t is not None and t.requires_grad:
                 t.accumulate_grad(g)

@@ -5,6 +5,9 @@ two freezes it and trains the live branch on paired (real, composed)
 scenes, adding the feature-association term to the detection losses.
 Both phases run one loop (shuffle, cosine schedule, batching, clipping,
 Adam, checkpoints) and differ only in their per-sample loss.
+Parameter-sized state is held once: clipping scales each gradient in
+place, Adam updates its moments and the parameters in place, and the
+frozen reference reads the caller's arrays without copying them.
 Every random choice (shuffles, augmentation draws, init) derives from the
 run seed, so reruns are bit-identical.
 """
@@ -53,6 +56,7 @@ from .voxelizer import require_float, require_int
 
 _PHASE_CFG = 1
 _PHASE_PAIR = 2
+_CHUNK = 1 << 14  # elements per Adam pass: 128 KB per operand, so six operands stay in cache
 
 
 @dataclass(frozen=True)
@@ -123,7 +127,20 @@ def cosine_lr(step: int, total_steps: int, base: float) -> float:
 
 
 class Adam:
-    """Adaptive-moment optimizer: decay 0.9/0.999, eps 1e-8, no weight decay."""
+    """Adaptive-moment optimizer: decay 0.9/0.999, eps 1e-8, no weight decay.
+
+    `m` and `v` are filled with zeros here: `zeros_like` writes them, so
+    their memory is resident from the start rather than first touched
+    inside the first step. `step` updates `m`, `v` and every parameter's
+    `.data` in place, `_CHUNK` elements at a time through two chunk-sized
+    scratch buffers, so it holds no parameter-sized temporary. Each element
+    still goes through `beta1*m + (1-beta1)*g`, `beta2*v + ((1-beta2)*g)*g`,
+    `/bias1`, `/bias2`, `sqrt`, `+eps`, `lr*m_hat`, `/` and `-` in that
+    order, so the bytes equal those of the whole-array expressions. A
+    parameter without a gradient steps as if its gradient were zero.
+    `zero_grad` sets `.grad = None`: zeroed buffers kept between steps
+    would stay alive in every parameter dict a caller holds.
+    """
 
     def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -137,14 +154,31 @@ class Adam:
         self.t += 1
         bias1 = 1.0 - self.beta1 ** self.t
         bias2 = 1.0 - self.beta2 ** self.t
+        keep1, keep2 = 1 - self.beta1, 1 - self.beta2
+        scratch_a, scratch_b = np.empty(_CHUNK), np.empty(_CHUNK)
         for name in sorted(self.params):
             p = self.params[name]
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            m_hat = self.m[name] / bias1
-            v_hat = self.v[name] / bias2
-            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            data = p.data.reshape(-1, copy=False)  # raises rather than update a copy
+            grad = None if p.grad is None else p.grad.reshape(-1)
+            m, v = self.m[name].reshape(-1), self.v[name].reshape(-1)
+            for lo in range(0, data.size, _CHUNK):
+                part = slice(lo, lo + _CHUNK)
+                mc, vc, pc = m[part], v[part], data[part]
+                a, b = scratch_a[:pc.size], scratch_b[:pc.size]
+                np.multiply(mc, self.beta1, out=mc)
+                np.multiply(vc, self.beta2, out=vc)
+                if grad is None:  # (1 - beta) * 0.0 adds +0.0, which turns -0.0 into 0.0
+                    np.add(mc, 0.0, out=mc)
+                    np.add(vc, 0.0, out=vc)
+                else:
+                    gc = grad[part]
+                    np.add(mc, np.multiply(gc, keep1, out=a), out=mc)
+                    np.multiply(gc, keep2, out=a)
+                    np.add(vc, np.multiply(a, gc, out=a), out=vc)
+                np.multiply(np.divide(mc, bias1, out=a), lr, out=a)
+                np.divide(vc, bias2, out=b)
+                np.add(np.sqrt(b, out=b), self.eps, out=b)
+                np.subtract(pc, np.divide(a, b, out=a), out=pc)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -152,7 +186,11 @@ class Adam:
 
 
 def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
-    """Scale all gradients so their global norm is at most max_norm."""
+    """Scale all gradients in place so their global norm is at most max_norm.
+
+    Returns the norm before clipping. Each gradient's squares are summed
+    from one `g * g` temporary, whose pairwise sum fixes the norm's bits.
+    """
     total = 0.0
     for p in params.values():
         if p.grad is not None:
@@ -162,7 +200,7 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
         factor = max_norm / norm
         for p in params.values():
             if p.grad is not None:
-                p.grad = p.grad * factor
+                p.grad *= factor
     return norm
 
 
@@ -331,7 +369,8 @@ def train_associate(pairs: Sequence[ScenePair], cfg_params: dict[str, Tensor],
     real scene; the total loss adds the reweighted feature-association term
     with weight sigma.
     """
-    frozen = {name: Tensor(np.array(t.data, copy=True)) for name, t in cfg_params.items()}
+    # the caller's own arrays, wrapped without gradients: nothing writes to them
+    frozen = {name: Tensor(t.data) for name, t in cfg_params.items()}
     validate_params(frozen, net_config, with_offsets=False)
 
     params = init_params(net_config, seed=train_config.seed, with_offsets=True)

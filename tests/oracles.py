@@ -450,3 +450,23 @@ def greedy_match(dets, scores, gts, threshold: float, iou=clip_iou_bev):
         tp.append(hit)
         gt_idx.append(best_g if hit else -1)
     return order, tp, gt_idx
+
+
+def allocating_adam_step(data: dict, grads: dict, m: dict, v: dict, t: int, lr: float,
+                         beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    """One Adam step as whole-array expressions, each allocating its result.
+
+    Takes name -> array dicts (a None gradient steps as zeros) and the step
+    count t after incrementing; returns the new (data, m, v) dicts.
+    """
+    bias1 = 1.0 - beta1 ** t
+    bias2 = 1.0 - beta2 ** t
+    new_data, new_m, new_v = {}, {}, {}
+    for name in sorted(data):
+        g = grads[name] if grads[name] is not None else np.zeros_like(data[name])
+        new_m[name] = beta1 * m[name] + (1 - beta1) * g
+        new_v[name] = beta2 * v[name] + (1 - beta2) * g * g
+        m_hat = new_m[name] / bias1
+        v_hat = new_v[name] / bias2
+        new_data[name] = data[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return new_data, new_m, new_v

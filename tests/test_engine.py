@@ -564,6 +564,25 @@ def test_tape_backward_runs_once_and_releases_each_closure():
         assert np.array_equal(t.grad, want)  # the refused call added nothing
 
 
+def test_tape_backward_holds_each_leaf_gradient_once():
+    # the walk leaves a raw gradient per leaf in its map; each must be dropped
+    # as it is pushed into .grad, not kept beside every .grad until the end
+    n = 1 << 18
+    a = Tensor(np.ones(n), requires_grad=True)
+    b = Tensor(np.ones(n), requires_grad=True)
+    with Tape() as tape:
+        loss = add(tsum(a), tsum(b))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    assert peak < 3.5 * n * 8  # both raw gradients and one .grad, never all four
+    assert np.array_equal(a.grad, np.ones(n)) and np.array_equal(b.grad, np.ones(n))
+
+
 def test_grad_bilinear_sample():
     x = Tensor(rand((3, 4, 4), 35), requires_grad=True)
     _gc(lambda x: tsum(mul(bilinear_sample(x, 1.3, 2.6), bilinear_sample(x, 1.3, 2.6))), [x])

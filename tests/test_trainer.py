@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from oracles import allocating_adam_step
 
-from voxdet import network
+from voxdet import network, trainer
 from voxdet.engine import Tensor, active_tape, add, mul, tsum
 from voxdet.geometry import Box3D, PointCloud, points_in_box
 from voxdet.network import NetworkConfig, init_params
@@ -75,6 +77,63 @@ def test_adam_matches_hand_computed_update():
     v_hat = v / (1 - 0.999)
     want = 2.0 - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
     np.testing.assert_allclose(p.data, want, atol=1e-15)
+
+
+def _signed_gradient(rng, shape):
+    g = rng.standard_normal(shape)
+    pick = rng.random(shape)
+    g[pick < 0.1] = 0.0
+    g[pick > 0.9] = -0.0
+    return g
+
+
+def test_adam_matches_allocating_oracle_bit_for_bit():
+    rng = np.random.default_rng(11)
+    shapes = {"big": (5 * trainer._CHUNK + 123,), "conv": (3, 2, 5, 5), "bias": (7,),
+              "idle": (4, 3)}
+    params = {name: Tensor(rng.standard_normal(shape), requires_grad=True)
+              for name, shape in shapes.items()}
+    params["conv"].data[0, 0] = -0.0
+    opt = Adam(params)
+    data = {name: p.data.copy() for name, p in params.items()}
+    m = {name: np.zeros(shape) for name, shape in shapes.items()}
+    v = {name: np.zeros(shape) for name, shape in shapes.items()}
+    for step in range(6):
+        grads = {name: None if name == "idle" else _signed_gradient(rng, shape)
+                 for name, shape in shapes.items()}
+        if step == 3:
+            grads["bias"] = None  # a parameter off the loss's path for one step
+        for name, p in params.items():
+            p.grad = None if grads[name] is None else grads[name].copy()
+        lr = cosine_lr(step, 6, 0.01)
+        opt.step(lr)
+        data, m, v = allocating_adam_step(data, grads, m, v, step + 1, lr)
+        for name, p in params.items():
+            assert p.data.tobytes() == data[name].tobytes(), name
+            assert opt.m[name].tobytes() == m[name].tobytes(), name
+            assert opt.v[name].tobytes() == v[name].tobytes(), name
+        opt.zero_grad()
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_adam_step_holds_no_parameter_sized_temporary():
+    n = 1 << 20
+    rng = np.random.default_rng(12)
+    p = Tensor(rng.standard_normal(n), requires_grad=True)
+    opt = Adam({"p": p})
+    p.grad = rng.standard_normal(n)
+    assert _traced_peak(lambda: opt.step(1e-3)) < n * 8 / 8
+    opt.zero_grad()  # a missing gradient steps as zeros, without a zero array
+    assert _traced_peak(lambda: opt.step(1e-3)) < n * 8 / 8
 
 
 def test_clip_gradients_scales_to_max_norm():
@@ -196,10 +255,30 @@ def test_train_associate_freezes_reference_and_runs():
     pfe_params, log = train_associate([pair, pair], cfg_params, net, tc)
 
     for name, raw in before.items():
-        assert cfg_params[name].data.tobytes() == raw  # reference untouched
+        assert cfg_params[name].data.tobytes() == raw  # the frozen branch reads these arrays
     assert "offsets.weight" in pfe_params
     assert len(log) == 2
     assert all(row.assoc >= 0 for row in log)
+
+
+def test_train_associate_reads_the_reference_arrays_without_copying(monkeypatch):
+    seen = []
+    adapt = trainer.cfg_adapt_feature
+
+    def spying(cloud, params, config):
+        seen.append(params)
+        return adapt(cloud, params, config)
+
+    monkeypatch.setattr(trainer, "cfg_adapt_feature", spying)
+    cloud, boxes = scene_fixture(seed=6)
+    net = mini_net()
+    cfg_params = init_params(net, seed=1, with_offsets=False)
+    train_associate([ScenePair(cloud, cloud, tuple(boxes))], cfg_params, net,
+                    TrainConfig(batch_size=1, epochs=1, seed=3))
+    assert len(seen) == 1 and seen[0].keys() == cfg_params.keys()
+    for name, frozen in seen[0].items():
+        assert np.shares_memory(frozen.data, cfg_params[name].data), name
+        assert not frozen.requires_grad and frozen.grad is None
 
 
 def test_frozen_reference_runs_no_head(monkeypatch):
