@@ -15,7 +15,8 @@ import numpy as np
 
 from . import engine
 from .engine import Tensor
-from .geometry import Box3D, normalize_angle, rotated_iou_bev_many
+from .geometry import (Box3D, bev_diagonals, circumcircles_meet, normalize_angle,
+                       rotated_iou_bev_many, rotated_iou_bev_pairs)
 from .voxelizer import GridConfig, require_float
 
 ANCHOR_DIMS = (3.9, 1.6, 1.56)
@@ -279,15 +280,24 @@ def associate_total_loss(bbox_loss: Tensor, cls_loss: Tensor,
     return engine.add(engine.add(bbox_loss, cls_loss), weighted)
 
 
+# Live boxes scored per NMS block. The gate's temporaries are block x
+# candidates in size: at the default grid's 70,400 anchors, 18 MB each and
+# 63 MB at peak (tracemalloc).
+_NMS_BLOCK = 32
+
+
 def nms_bev(boxes: np.ndarray, scores,
             iou_threshold: float = NMS_IOU_DEFAULT) -> np.ndarray:
     """Greedy rotated-BEV suppression of (N, 7) box rows; returns kept indices, best first.
 
     A box is kept exactly when no kept box of higher rank overlaps it by more
     than the threshold. Rank is falling score, and score ties break toward
-    the lower index. Each kept box suppresses, in one `rotated_iou_bev_many`
-    call, every later live box; pairs whose circumcircles are disjoint are
-    gated out there with IoU 0.
+    the lower index. The ranks are walked in blocks of the next `_NMS_BLOCK`
+    live boxes. One circumcircle test gates each block against itself and
+    every later live box. One `rotated_iou_bev_pairs` call scores the gated
+    pairs inside the block, whose suppression is then resolved in rank
+    order, and one more scores the block's kept boxes against the later
+    ones. Each pair's IoU takes the higher-ranked box as its first row.
     """
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 7)
     scores = np.asarray(scores, dtype=np.float64)
@@ -295,12 +305,26 @@ def nms_bev(boxes: np.ndarray, scores,
         raise ValueError("boxes and scores must align")
     order = np.argsort(-scores, kind="stable")
     rows = boxes[order]
-    alive = np.ones(len(order), dtype=bool)
-    kept: list[int] = []
-    for rank in range(len(order)):
-        if not alive[rank]:
-            continue
-        kept.append(int(order[rank]))
-        later = rank + 1 + np.flatnonzero(alive[rank + 1:])
-        alive[later[rotated_iou_bev_many(rows[rank], rows[later]) > iou_threshold]] = False
-    return np.asarray(kept, dtype=np.int64)
+    diag = bev_diagonals(rows)
+    live = np.arange(len(order))  # ranks not yet kept or suppressed
+    kept: list[np.ndarray] = []
+    while len(live):
+        n = min(_NMS_BLOCK, len(live))
+        block, later = live[:n], live[n:]
+        near = circumcircles_meet(rows[block, None], rows[live], diag[block, None])
+        # block pairs (i, j), i < j: i suppresses j unless i is suppressed itself
+        i, j = np.nonzero(np.triu(near[:, :n], 1))
+        overlaps = np.zeros((n, n), dtype=bool)
+        overlaps[i, j] = rotated_iou_bev_pairs(rows[block[i]], rows[block[j]],
+                                               diag[block[i]]) > iou_threshold
+        keep = np.ones(n, dtype=bool)
+        for r in np.flatnonzero(overlaps.any(axis=1)).tolist():
+            if keep[r]:
+                keep[r + 1:] &= ~overlaps[r, r + 1:]
+        winners = block[keep]
+        kept.append(order[winners])
+        i, j = np.nonzero(near[keep, n:])
+        hit = rotated_iou_bev_pairs(rows[winners[i]], rows[later[j]],
+                                    diag[winners[i]]) > iou_threshold
+        live = np.delete(later, j[hit])
+    return np.concatenate(kept, dtype=np.int64) if kept else np.zeros(0, dtype=np.int64)

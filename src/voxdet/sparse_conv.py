@@ -73,37 +73,50 @@ def build_rulebook(coords: np.ndarray, spatial_shape, kernel, stride=1,
     stride = _as_triple(stride)
     if min(stride) < 1:
         raise ValueError(f"invalid stride {stride}")
+    if min(kernel) < 0:
+        raise ValueError(f"invalid kernel {kernel}")
     if padding is None:
         padding = tuple(k // 2 for k in kernel)
     padding = _as_triple(padding)
-    shape, k, s, p = (np.asarray(v) for v in (spatial_shape, kernel, stride, padding))
-    taps = np.indices(kernel).reshape(3, -1).T[:, None]  # (T, 1, 3), nested order
-
-    # input site = output site * stride + tap - padding; each row meets one
-    # partner site per tap, kept if it lies inside the partner grid
+    # input site = output site * stride + tap - padding, which splits by axis:
+    # each row meets one partner coordinate per tap offset on each axis, kept
+    # if it lies inside the partner grid; a tap's partner is valid when all
+    # three of its axis partners are
     if mode == SUBMANIFOLD:
         if any(v % 2 == 0 for v in kernel):
             raise ValueError(f"submanifold mode needs odd kernel dims, got {kernel}")
         if stride != (1, 1, 1):
             raise ValueError("submanifold mode is stride 1 by definition")
-        out_shape = shape
-        partner = coords + taps - k // 2  # rows are output sites, partners input sites
-        valid = ((partner >= 0) & (partner < shape)).all(axis=2)
+        out_shape = spatial_shape
+        # rows are output sites, partners input sites
+        partner = [coords[:, d] + np.arange(kernel[d])[:, None] - kernel[d] // 2
+                   for d in range(3)]
+        valid = [(partner[d] >= 0) & (partner[d] < out_shape[d]) for d in range(3)]
     elif mode == STRIDED:
-        out_shape = (shape + 2 * p - k) // s + 1
-        if (out_shape < 1).any():
+        out_shape = tuple((n + 2 * pd - kd) // sd + 1
+                          for n, kd, sd, pd in zip(spatial_shape, kernel, stride, padding))
+        if min(out_shape) < 1:
             raise ValueError(f"kernel {kernel} with stride {stride} empties spatial shape {spatial_shape}")
-        num = coords + p - taps  # rows are input sites, partners output sites
-        partner = num // s
-        valid = ((num % s == 0) & (partner >= 0) & (partner < out_shape)).all(axis=2)
+        # rows are input sites, partners output sites
+        num = [coords[:, d] + padding[d] - np.arange(kernel[d])[:, None] for d in range(3)]
+        partner = [num[d] // stride[d] for d in range(3)]
+        valid = [(num[d] % stride[d] == 0) & (partner[d] >= 0) & (partner[d] < out_shape[d])
+                 for d in range(3)]
     else:
         raise ValueError(f"unknown rulebook mode {mode!r}")
-    out_shape = tuple(int(v) for v in out_shape)
+
+    # broadcast to (T, N) over the nested (dx, dy, dz) taps; the per-axis
+    # terms of voxel_keys add up to the partner site's key
+    per_tap = (int(np.prod(kernel)), len(coords))
+    valid = (valid[0][:, None, None] & valid[1][None, :, None]
+             & valid[2][None, None, :]).reshape(per_tap)
+    _, ny, nz = out_shape
+    keys = ((partner[0] * (ny * nz))[:, None, None] + (partner[1] * nz)[None, :, None]
+            + partner[2][None, None, :]).reshape(per_tap)[valid]
+    tap, row = np.nonzero(valid)  # tap-major, ascending row within a tap
 
     # the partner's row comes from one sorted key table: the input sites, or
     # the output sites, which are exactly the sites some pair reaches
-    tap, row = np.nonzero(valid)  # tap-major, ascending row within a tap
-    keys = voxel_keys(partner[tap, row], out_shape)
     if mode == SUBMANIFOLD:
         table = voxel_keys(coords, out_shape)
         order = np.argsort(table)
@@ -117,7 +130,7 @@ def build_rulebook(coords: np.ndarray, spatial_shape, kernel, stride=1,
     found = table[pos] == keys
     partner_row, row = order[pos[found]], row[found]
     in_rows, out_rows = (partner_row, row) if mode == SUBMANIFOLD else (row, partner_row)
-    starts = np.concatenate([[0], np.cumsum(np.bincount(tap[found], minlength=len(taps)))])
+    starts = np.concatenate([[0], np.cumsum(np.bincount(tap[found], minlength=len(valid)))])
     return Rulebook(in_rows, out_rows, starts, out_coords, out_shape, kernel, len(coords))
 
 

@@ -49,6 +49,7 @@ from .network import (
     cfg_forward,
     copy_shared_into,
     init_params,
+    parameter_shapes,
     pfe_forward,
     validate_params,
 )
@@ -373,8 +374,10 @@ def train_associate(pairs: Sequence[ScenePair], cfg_params: dict[str, Tensor],
     frozen = {name: Tensor(t.data) for name, t in cfg_params.items()}
     validate_params(frozen, net_config, with_offsets=False)
 
-    params = init_params(net_config, seed=train_config.seed, with_offsets=True)
-    copy_shared_into(params, frozen)  # live trunk starts from reference weights
+    # the live trunk starts from the reference weights, the offset conv at zero
+    params = {name: Tensor(np.zeros(shape), requires_grad=True)
+              for name, shape in parameter_shapes(net_config, with_offsets=True).items()}
+    copy_shared_into(params, frozen)
     anchor_grid = anchors.generate(net_config.bev_shape, net_config.grid)
 
     def prepare(pair, epoch, idx):

@@ -412,6 +412,100 @@ def clip_iou_3d(a: Box3D, b: Box3D) -> float:
     return inter / (a.l * a.w * a.h + b.l * b.w * b.h - inter)
 
 
+# --- the one-box-against-many IoU kernel and the per-box NMS loop that the
+# pair kernel and the blocked NMS replaced; the package must match their bits
+
+_NEXT_CORNER = np.array([1, 2, 3, 0])
+_NEXT_POINT = np.roll(np.arange(24), -1)
+
+
+def _corners_rows(rows: np.ndarray) -> np.ndarray:
+    c, s = np.cos(rows[:, 6:7]), np.sin(rows[:, 6:7])
+    hl = rows[:, 3:4] / 2 * np.array([1.0, -1.0, -1.0, 1.0])
+    hw = rows[:, 4:5] / 2 * np.array([1.0, 1.0, -1.0, -1.0])
+    return np.stack([rows[:, 0:1] + hl * c - hw * s,
+                     rows[:, 1:2] + hl * s + hw * c], axis=-1)
+
+
+def _inside(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    c, s = np.cos(rows[:, 6:7]), np.sin(rows[:, 6:7])
+    dx = points[..., 0] - rows[:, 0:1]
+    dy = points[..., 1] - rows[:, 1:2]
+    return ((np.abs(dx * c + dy * s) <= rows[:, 3:4] / 2 + 1e-9)
+            & (np.abs(dy * c - dx * s) <= rows[:, 4:5] / 2 + 1e-9))
+
+
+def one_to_many_area(box: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """BEV overlap of one (7,) row with each of (M, 7) rows, in a frame
+    centred on `box`, behind a circumcircle gate: the 24-point clip."""
+    area = np.zeros(len(boxes))
+    reach = (math.hypot(box[3], box[4]) + np.hypot(boxes[:, 3], boxes[:, 4])) / 2
+    near = np.flatnonzero((boxes[:, 0] - box[0]) ** 2 + (boxes[:, 1] - box[1]) ** 2
+                          <= reach * reach)
+    if not len(near):
+        return area
+    a = np.concatenate([[0.0, 0.0], box[2:]])[None]
+    b = boxes[near]
+    b[:, :2] -= box[:2]
+    ca, cb = _corners_rows(a), _corners_rows(b)
+    ca_all = np.broadcast_to(ca, cb.shape)
+    p, r = ca[:, :, None], (ca[:, _NEXT_CORNER] - ca)[:, :, None]
+    q, s = cb[:, None], (cb[:, _NEXT_CORNER] - cb)[:, None]
+    cross = r[..., 0] * s[..., 1] - r[..., 1] * s[..., 0]
+    lengths = np.hypot(r[..., 0], r[..., 1]) * np.hypot(s[..., 0], s[..., 1])
+    parallel = np.abs(cross) <= 1e-12 * lengths
+    denom = np.where(parallel, 1.0, cross)
+    qp = q - p
+    t = (qp[..., 0] * s[..., 1] - qp[..., 1] * s[..., 0]) / denom
+    u = (qp[..., 0] * r[..., 1] - qp[..., 1] * r[..., 0]) / denom
+    hits = ~parallel & (t >= 0) & (t <= 1) & (u >= 0) & (u <= 1)
+    crossings = p + t[..., None] * r
+    points = np.concatenate([ca_all, cb, crossings.reshape(len(b), 16, 2)], axis=1)
+    mask = np.concatenate([_inside(ca_all, b), _inside(cb, a), hits.reshape(len(b), 16)],
+                          axis=1)
+    points = np.where(mask[..., None], points, 0.0)
+    count = np.maximum(mask.sum(axis=1), 1)
+    centroid = points.sum(axis=1) / count[:, None]
+    rel = points - centroid[:, None]
+    angle = np.where(mask, np.arctan2(rel[..., 1], rel[..., 0]), 4.0)
+    pair = np.arange(len(b))[:, None]
+    order = np.argsort(angle, axis=1, kind="stable")
+    poly = np.where(mask[pair, order, None], rel[pair, order], rel[pair, order[:, :1]])
+    x, y = poly[..., 0], poly[..., 1]
+    shoelace = 0.5 * np.abs((x * y[:, _NEXT_POINT] - x[:, _NEXT_POINT] * y).sum(axis=1))
+    area[near] = np.minimum(shoelace, np.minimum(box[3] * box[4], b[:, 3] * b[:, 4]))
+    return area
+
+
+def one_to_many_iou_bev(box: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    inter = one_to_many_area(box, boxes)
+    return inter / (box[3] * box[4] + boxes[:, 3] * boxes[:, 4] - inter)
+
+
+def one_to_many_iou_3d(box: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    z_lo = np.maximum(box[2] - box[5] / 2, boxes[:, 2] - boxes[:, 5] / 2)
+    z_hi = np.minimum(box[2] + box[5] / 2, boxes[:, 2] + boxes[:, 5] / 2)
+    inter = one_to_many_area(box, boxes) * np.maximum(z_hi - z_lo, 0.0)
+    return inter / (box[3] * box[4] * box[5] + boxes[:, 3] * boxes[:, 4] * boxes[:, 5] - inter)
+
+
+def per_box_nms(boxes: np.ndarray, scores, iou_threshold: float) -> np.ndarray:
+    """Greedy NMS one kept box at a time: each kept box suppresses, in one
+    one_to_many_iou_bev call, every later live box."""
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 7)
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
+    rows = boxes[order]
+    alive = np.ones(len(order), dtype=bool)
+    kept: list[int] = []
+    for rank in range(len(order)):
+        if not alive[rank]:
+            continue
+        kept.append(int(order[rank]))
+        later = rank + 1 + np.flatnonzero(alive[rank + 1:])
+        alive[later[one_to_many_iou_bev(rows[rank], rows[later]) > iou_threshold]] = False
+    return np.asarray(kept, dtype=np.int64)
+
+
 def decode_box(anchor: Box3D, deltas, convention: str = CONVENTION_PRINTED) -> Box3D:
     """The box codec's inverse for one anchor, one scalar at a time."""
     dx, dy, dz, dl, dw, dh, dyaw = (float(v) for v in deltas)

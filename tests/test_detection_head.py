@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from voxdet import verify
+from voxdet import geometry, verify
 from voxdet.detection_head import (
+    _NMS_BLOCK,
     CONVENTION_LINEAGE,
     CONVENTION_PRINTED,
     IGNORED,
@@ -28,7 +29,7 @@ from voxdet.detection_head import (
 from voxdet.engine import Tape, Tensor
 from voxdet.geometry import Box3D
 from voxdet.voxelizer import GridConfig
-from oracles import clip_iou_bev, decode_box as scalar_decode_box
+from oracles import clip_iou_bev, decode_box as scalar_decode_box, per_box_nms
 
 
 def flat_grid():
@@ -494,3 +495,50 @@ def test_nms_matches_reference_at_mid_grid_density(thr):
     boxes = jittered_anchor_boxes(rng, (16, 32), GridConfig((0, -4, -2), (16, 4, 0), (0.5, 0.5, 0.5)))
     scores = rng.integers(0, 20, size=len(boxes)) / 20
     assert list(nms_bev(rows(boxes), scores, thr)) == reference_nms(boxes, scores, thr)
+
+
+# counts around the block size: none, one, a block less one, a block, a block
+# and one, and three blocks and one
+BLOCK_COUNTS = [0, 1, _NMS_BLOCK - 1, _NMS_BLOCK, _NMS_BLOCK + 1, 3 * _NMS_BLOCK + 1]
+
+
+def nms_case(kind, n, rng):
+    if kind == "identical":
+        return np.tile(Box3D(3, 1, 0, 4, 2, 1.5, 0.3).as_array(), (n, 1)), rng.uniform(size=n)
+    boxes = np.column_stack([rng.uniform(0, 12, (n, 2)), np.zeros(n), rng.uniform(1, 4, (n, 2)),
+                             np.ones(n), rng.uniform(-math.pi, math.pi, n)])
+    if kind == "ties":
+        return boxes, rng.integers(0, 3, n) / 3
+    return boxes, rng.uniform(size=n)
+
+
+@pytest.mark.parametrize("n", BLOCK_COUNTS)
+@pytest.mark.parametrize("kind", ["random", "identical", "ties"])
+def test_blocked_nms_keeps_what_the_per_box_loop_keeps_bit_for_bit(kind, n):
+    rng = np.random.default_rng(n)
+    boxes, scores = nms_case(kind, n, rng)
+    for thr in (0.0, 0.1, 0.5):
+        got, want = nms_bev(boxes, scores, thr), per_box_nms(boxes, scores, thr)
+        assert got.dtype == want.dtype == np.int64
+        assert got.tobytes() == want.tobytes()
+    if kind == "identical" and n:
+        # every copy overlaps the first, which ranks first by score
+        assert list(nms_bev(boxes, scores)) == [int(np.argmax(scores))]
+
+
+def test_blocked_nms_calls_the_pair_kernel_twice_per_block_at_most(monkeypatch):
+    calls = []
+    kernel = geometry._intersection_area_pairs
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return kernel(*args)
+
+    monkeypatch.setattr(geometry, "_intersection_area_pairs", counting)
+    rng = np.random.default_rng(3)
+    boxes = rows(jittered_anchor_boxes(rng, (16, 32), GridConfig((0, -4, -2), (16, 4, 0), (0.5, 0.5, 0.5))))
+    scores = rng.integers(0, 20, size=len(boxes)) / 20
+    got = nms_bev(boxes, scores, 0.1)
+    assert len(boxes) == 1024
+    assert 0 < len(calls) <= 2 * math.ceil(len(boxes) / _NMS_BLOCK)
+    assert got.tobytes() == per_box_nms(boxes, scores, 0.1).tobytes()

@@ -5,18 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voxdet import geometry
 from voxdet.geometry import (
     Box3D,
     PointCloud,
     avg_closest_point_distance,
+    bev_diagonals,
     box_corners_bev,
     normalize_angle,
     points_in_box,
     rotated_iou_3d_many,
     rotated_iou_bev,
     rotated_iou_bev_many,
+    rotated_iou_bev_pairs,
 )
-from oracles import brute_mean_closest, clip_iou_3d, clip_iou_bev, mc_iou_bev, polygon_area
+from oracles import (
+    brute_mean_closest,
+    clip_iou_3d,
+    clip_iou_bev,
+    mc_iou_bev,
+    one_to_many_iou_3d,
+    one_to_many_iou_bev,
+    polygon_area,
+)
 
 
 def test_normalize_angle_range():
@@ -222,6 +233,78 @@ def test_iou_3d_many_matches_clipper_on_random_pairs():
         overlapping += int((want > 0).sum())
     assert overlapping > 200
     assert rotated_iou_3d_many(a.as_array(), np.zeros((0, 7))).shape == (0,)
+
+
+def _pair_cases(rng):
+    """(box, boxes) cases: random neighbours, and neighbours that touch the box
+    at an edge or a corner, sit inside it, or run edges parallel to its own."""
+    def row(cx, cy, l, w, yaw):
+        return np.array([cx, cy, rng.uniform(-2, 1), l, w, rng.uniform(0.5, 2), yaw])
+
+    def offset(box, along, across):  # a point in the box's own frame
+        c, s = math.cos(box[6]), math.sin(box[6])
+        return box[0] + along * c - across * s, box[1] + along * s + across * c
+
+    for _ in range(60):
+        box = row(rng.uniform(-20, 20), rng.uniform(-20, 20), rng.uniform(0.5, 5),
+                  rng.uniform(0.5, 3), normalize_angle(rng.uniform(-4, 4)))
+        l, w, yaw = box[3], box[4], box[6]
+        randoms = [row(box[0] + rng.uniform(-4, 4), box[1] + rng.uniform(-4, 4),
+                       rng.uniform(0.5, 5), rng.uniform(0.5, 3), rng.uniform(-math.pi, math.pi))
+                   for _ in range(8)]
+        side, sign = rng.uniform(0.3, 3), rng.choice([-1.0, 1.0], 2)
+        touching = [
+            row(*offset(box, sign[0] * (l + side) / 2, rng.uniform(-w, w) / 2), side, w, yaw),
+            row(*offset(box, 0.0, sign[1] * (w + side) / 2), l, side, yaw),
+            row(*offset(box, sign[0] * l, sign[1] * w), l, w, normalize_angle(yaw + math.pi)),
+        ]
+        # scaled copies whose corner meets one of the box's: their circumcircles
+        # touch, so the gate decides them on its last bit
+        for k in rng.uniform(0.2, 3, 150):
+            sign = rng.choice([-1.0, 1.0], 2)
+            touching.append(row(*offset(box, sign[0] * l * (1 + k) / 2, sign[1] * w * (1 + k) / 2),
+                                l * k, w * k, yaw))
+        shrink = rng.uniform(0.1, 0.9)
+        nested = [
+            row(*offset(box, rng.uniform(-1, 1) * l * (1 - shrink) / 2,
+                        rng.uniform(-1, 1) * w * (1 - shrink) / 2), l * shrink, w * shrink, yaw),
+            box.copy(),
+            row(box[0], box[1], w, l, normalize_angle(yaw + math.pi / 2)),  # the same rectangle
+        ]
+        parallel = [
+            row(*offset(box, rng.uniform(-l, l), rng.uniform(-w, w)), rng.uniform(0.5, 5),
+                rng.uniform(0.5, 3), normalize_angle(yaw + k * math.pi / 2))
+            for k in range(4)]
+        yield box, np.array(randoms + touching + nested + parallel)
+
+
+def test_iou_many_match_the_one_box_kernel_bit_for_bit():
+    rng = np.random.default_rng(25)
+    cases = list(_pair_cases(rng))
+    # one neighbourhood that takes the kernel more than one clip step
+    box = cases[0][0]
+    crowd = np.tile(box, (3 * geometry._CLIP_PAIRS, 1))
+    crowd[:, :2] += rng.uniform(-3, 3, (len(crowd), 2))
+    crowd[:, 6] = rng.uniform(-math.pi, math.pi, len(crowd))
+    cases.append((box, crowd))
+    # corner-meeting pairs whose gate turns on the last bit of the first box's
+    # diagonal, where math.hypot and np.hypot differ
+    for first, second in (([2.7, -0.1, 0.0, 4.13, 1.39, 1.0, 2.44],
+                           [0.4425978631035683, 3.6273496740090563, 0.0, 4.13, 1.39, 1.0, 2.44]),
+                          ([-5.0, 4.7, 0.0, 3.39, 2.99, 1.0, 0.1],
+                           [-8.074562204518491, 1.3865022633859558, 0.0, 3.39, 2.99, 1.0, 0.1])):
+        assert math.hypot(first[3], first[4]) != np.hypot(first[3], first[4])
+        cases.append((np.array(first), np.array([second])))
+    for box, boxes in cases:
+        for got, want in ((rotated_iou_bev_many(box, boxes), one_to_many_iou_bev(box, boxes)),
+                          (rotated_iou_3d_many(box, boxes), one_to_many_iou_3d(box, boxes))):
+            assert got.tobytes() == want.tobytes()
+        # one row at a time, and the pair kernel with the row repeated, give the same bits
+        some = boxes[:24]
+        singles = np.concatenate([rotated_iou_bev_many(box, b) for b in some])
+        repeated = np.tile(box, (len(some), 1))
+        pairs = rotated_iou_bev_pairs(repeated, some, bev_diagonals(repeated))
+        assert singles.tobytes() == pairs.tobytes() == rotated_iou_bev_many(box, some).tobytes()
 
 
 def test_polygon_area_box():

@@ -125,6 +125,51 @@ def test_rulebook_pairs_match_brute_force(case):
         np.testing.assert_array_equal(got_out, want_out)
 
 
+@st.composite
+def rulebook_cases(draw):
+    """Small grids with 1-cell axes allowed, anisotropic kernels, strides 1-2
+    and paddings 0-1; sites drawn anywhere on the grid, edges included, in
+    any order, possibly none."""
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    total = shape[0] * shape[1] * shape[2]
+    flat = draw(st.lists(st.integers(0, total - 1), unique=True, max_size=min(total, 10)))
+    coords = np.column_stack(np.unravel_index(np.array(flat, dtype=np.int64), shape))
+    if draw(st.booleans()):
+        kernel = tuple(draw(st.sampled_from([1, 3])) for _ in range(3))
+        return SUBMANIFOLD, shape, coords.reshape(-1, 3), kernel, (1, 1, 1), None
+    kernel, stride, padding = (), (), ()
+    for n in shape:
+        p = draw(st.integers(0, 1))
+        kernel += (draw(st.integers(1, n + 2 * p)),)  # leaves at least one output cell
+        stride += (draw(st.integers(1, 2)),)
+        padding += (p,)
+    return STRIDED, shape, coords.reshape(-1, 3), kernel, stride, padding
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=rulebook_cases())
+def test_rulebook_equals_brute_force_in_every_field(case):
+    mode, shape, coords, kernel, stride, padding = case
+    rb = build_rulebook(coords, shape, kernel, stride=stride, mode=mode, padding=padding)
+    taps, out_coords = brute_rulebook(coords, shape, kernel, stride, padding, mode == SUBMANIFOLD)
+    want_in = np.concatenate([i for i, _ in taps])
+    want_out = np.concatenate([o for _, o in taps])
+    want_starts = np.concatenate([[0], np.cumsum([len(i) for i, _ in taps])])
+    if mode == SUBMANIFOLD:
+        want_shape = shape
+    else:
+        want_shape = tuple((n + 2 * p - k) // s + 1
+                           for n, k, s, p in zip(shape, kernel, stride, padding))
+    for got, want in ((rb.in_rows, want_in), (rb.out_rows, want_out),
+                      (rb.starts, want_starts), (rb.out_coords, out_coords)):
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+    assert rb.out_spatial_shape == want_shape
+    assert all(type(v) is int for v in rb.out_spatial_shape)
+    assert rb.kernel == kernel and rb.in_count == len(coords)
+
+
 # ---------------------------------------------------------------------------
 # forward semantics
 

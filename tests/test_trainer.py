@@ -281,6 +281,38 @@ def test_train_associate_reads_the_reference_arrays_without_copying(monkeypatch)
         assert not frozen.requires_grad and frozen.grad is None
 
 
+def test_live_branch_starts_from_reference_copies_and_zero_offsets(monkeypatch):
+    # no random draw for the live branch: its trunk is the reference's
+    # weights, copied, and its offset conv is zero, in parameter_shapes order
+    def no_draw(*args, **kwargs):
+        raise AssertionError("train_associate drew parameters")
+
+    first = {}
+    forward = trainer.pfe_forward
+
+    def spying(cloud, params, config):
+        if not first:
+            first.update({k: (v.data.copy(), v) for k, v in params.items()})
+        return forward(cloud, params, config)
+
+    monkeypatch.setattr(trainer, "init_params", no_draw)
+    monkeypatch.setattr(trainer, "pfe_forward", spying)
+    cloud, boxes = scene_fixture(seed=6)
+    net = mini_net()
+    cfg_params = init_params(net, seed=1, with_offsets=False)
+    pfe_params, _ = train_associate([ScenePair(cloud, cloud, tuple(boxes))], cfg_params, net,
+                                    TrainConfig(batch_size=1, epochs=1, seed=3))
+    assert list(first) == list(network.parameter_shapes(net, with_offsets=True))
+    assert list(pfe_params) == list(first)
+    for name, (data, tensor) in first.items():
+        assert tensor.requires_grad, name
+        if name.startswith("offsets."):
+            assert not data.any(), name
+        else:
+            assert data.tobytes() == cfg_params[name].data.tobytes(), name
+            assert not np.shares_memory(tensor.data, cfg_params[name].data), name
+
+
 def test_frozen_reference_runs_no_head(monkeypatch):
     # the association reads only the reference's adaptation features, so the
     # head runs for the live branch alone: once per pair and epoch
