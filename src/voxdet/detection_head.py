@@ -15,8 +15,8 @@ import numpy as np
 
 from . import engine
 from .engine import Tensor
-from .geometry import (Box3D, bev_diagonals, circumcircles_meet, normalize_angle,
-                       rotated_iou_bev_many, rotated_iou_bev_pairs)
+from .geometry import (Box3D, circumcircles_meet, normalize_angle, rotated_iou_bev_many,
+                       rotated_iou_bev_pairs)
 from .voxelizer import GridConfig, require_float
 
 ANCHOR_DIMS = (3.9, 1.6, 1.56)
@@ -305,18 +305,16 @@ def nms_bev(boxes: np.ndarray, scores,
         raise ValueError("boxes and scores must align")
     order = np.argsort(-scores, kind="stable")
     rows = boxes[order]
-    diag = bev_diagonals(rows)
     live = np.arange(len(order))  # ranks not yet kept or suppressed
     kept: list[np.ndarray] = []
     while len(live):
         n = min(_NMS_BLOCK, len(live))
         block, later = live[:n], live[n:]
-        near = circumcircles_meet(rows[block, None], rows[live], diag[block, None])
+        near = circumcircles_meet(rows[block, None], rows[live])
         # block pairs (i, j), i < j: i suppresses j unless i is suppressed itself
         i, j = np.nonzero(np.triu(near[:, :n], 1))
         overlaps = np.zeros((n, n), dtype=bool)
-        overlaps[i, j] = rotated_iou_bev_pairs(rows[block[i]], rows[block[j]],
-                                               diag[block[i]]) > iou_threshold
+        overlaps[i, j] = rotated_iou_bev_pairs(rows[block[i]], rows[block[j]]) > iou_threshold
         keep = np.ones(n, dtype=bool)
         for r in np.flatnonzero(overlaps.any(axis=1)).tolist():
             if keep[r]:
@@ -324,7 +322,6 @@ def nms_bev(boxes: np.ndarray, scores,
         winners = block[keep]
         kept.append(order[winners])
         i, j = np.nonzero(near[keep, n:])
-        hit = rotated_iou_bev_pairs(rows[winners[i]], rows[later[j]],
-                                    diag[winners[i]]) > iou_threshold
+        hit = rotated_iou_bev_pairs(rows[winners[i]], rows[later[j]]) > iou_threshold
         live = np.delete(later, j[hit])
     return np.concatenate(kept, dtype=np.int64) if kept else np.zeros(0, dtype=np.int64)

@@ -120,33 +120,26 @@ class Tape:
             raise RuntimeError("Tape.backward runs once per tape: the first call released "
                                "the arrays each op saved; record the forward on a new tape")
         self._spent = True
-        grads: dict[int, np.ndarray] = {}
         if seed is None:
             seed = np.ones_like(loss.data)
-        grads[id(loss)] = np.asarray(seed, dtype=np.float64).reshape(loss.data.shape)
+        seed = np.asarray(seed, dtype=np.float64).reshape(loss.data.shape)
+        if loss.requires_grad and not loss._tracked:
+            loss.accumulate_grad(seed)
+        # tracked intermediates' gradients wait here; leaves take theirs at once
+        grads = {id(loss): seed}
         for rec in reversed(self.records):
             backward, rec.backward = rec.backward, None
             gout = grads.pop(id(rec.output), None)
             if gout is None:
                 continue
-            gins = backward(gout)
-            for t, g in zip(rec.inputs, gins):
-                if g is None or not (t._tracked or t.requires_grad):
+            for t, g in zip(rec.inputs, backward(gout)):
+                if g is None:
                     continue
-                key = id(t)
-                if key in grads:
-                    grads[key] = grads[key] + g
-                else:
-                    grads[key] = g
-        # anything left in the map is a leaf; push into .grad buffers,
-        # dropping each from the map so no gradient is held twice
-        by_id = {id(t): t for rec in self.records for t in rec.inputs}
-        by_id[id(loss)] = loss
-        for key in list(grads):
-            g = grads.pop(key)
-            t = by_id.get(key)
-            if t is not None and t.requires_grad:
-                t.accumulate_grad(g)
+                if t._tracked:
+                    key = id(t)
+                    grads[key] = grads[key] + g if key in grads else g
+                elif t.requires_grad:
+                    t.accumulate_grad(g)
 
 
 def _record(inputs: Sequence[Tensor], out_data: np.ndarray, backward) -> Tensor:

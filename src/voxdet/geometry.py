@@ -151,6 +151,9 @@ _NEXT_POINT = np.roll(np.arange(24), -1)
 # corner within _INSIDE_SLACK of the other box and no edge crossing, even
 # after roundoff, so the clip would find no point and give 0.
 _APART = 1e-6
+# An overlap of at most this share of the smaller box's area is 0: boxes that
+# only share a corner or an edge clip to a roundoff sliver, not to nothing.
+_SLIVER = 1e-12
 # Gated pairs clipped per step. Past about a thousand, the clip's dozens of
 # (pairs, 24, 2) temporaries fall out of cache and each pair costs more.
 _CLIP_PAIRS = 1024
@@ -174,24 +177,13 @@ def _inside(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
             & (np.abs(dy * c - dx * s) <= rows[:, 4:5] / 2 + _INSIDE_SLACK))
 
 
-def bev_diagonals(rows: np.ndarray) -> np.ndarray:
-    """BEV diagonal of each (..., 7) box row, by `math.hypot`.
-
-    The first box of a gated pair takes its diagonal from here, the second
-    from `np.hypot`; the two differ in the last bit on about one value in
-    200, and the gate of two boxes whose corners meet can turn on it.
-    """
-    lw = np.asarray(rows, dtype=np.float64)[..., 3:5]
-    return np.reshape([math.hypot(l, w) for l, w in lw.reshape(-1, 2).tolist()], lw.shape[:-1])
-
-
-def circumcircles_meet(a: np.ndarray, b: np.ndarray, diag_a) -> np.ndarray:
+def circumcircles_meet(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Mask of the box row pairs, broadcast over leading axes, whose
     circumcircles meet: centre distance at most the sum of the half-diagonals.
 
-    A pair outside it cannot overlap. `diag_a` is `bev_diagonals(a)`.
+    A pair outside it cannot overlap; one on its edge shares one point at most.
     """
-    reach = (diag_a + np.hypot(b[..., 3], b[..., 4])) / 2
+    reach = (np.hypot(a[..., 3], a[..., 4]) + np.hypot(b[..., 3], b[..., 4])) / 2
     return (b[..., 0] - a[..., 0]) ** 2 + (b[..., 1] - a[..., 1]) ** 2 <= reach * reach
 
 
@@ -212,9 +204,8 @@ def _apart(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             | (np.abs(dy * cos_b - dx * sin_b) > wb + la * sin_d + wa * cos_d + _APART))
 
 
-def _intersection_area_pairs(a: np.ndarray, b: np.ndarray, diag_a) -> np.ndarray:
-    """BEV overlap area of each pair of (M, 7) box rows a[i] and b[i], given
-    `diag_a`, the `bev_diagonals` of `a` (or one float for a repeated row).
+def _intersection_area_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """BEV overlap area of each pair of (M, 7) box rows a[i] and b[i].
 
     Gates: a pair whose circumcircles are disjoint, or that a separating axis
     parts (`_apart`), gets 0 without more work, as its clip would. The pairs
@@ -222,7 +213,7 @@ def _intersection_area_pairs(a: np.ndarray, b: np.ndarray, diag_a) -> np.ndarray
     temporaries small enough to stay in cache.
     """
     area = np.zeros(len(a))
-    near = np.flatnonzero(circumcircles_meet(a, b, diag_a))
+    near = np.flatnonzero(circumcircles_meet(a, b))
     near = near[~_apart(a[near], b[near])]
     for lo in range(0, len(near), _CLIP_PAIRS):
         pick = near[lo:lo + _CLIP_PAIRS]
@@ -275,17 +266,17 @@ def _clip_area(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     poly = np.where((np.arange(24) < count[:, None])[..., None], poly, poly[:, :1])
     x, y = poly[..., 0], poly[..., 1]
     shoelace = 0.5 * np.abs((x * y[:, _NEXT_POINT] - x[:, _NEXT_POINT] * y).sum(axis=1))
-    return np.minimum(shoelace, np.minimum(a[:, 3] * a[:, 4], b[:, 3] * b[:, 4]))
+    smaller = np.minimum(a[:, 3] * a[:, 4], b[:, 3] * b[:, 4])
+    return np.where(shoelace <= _SLIVER * smaller, 0.0, np.minimum(shoelace, smaller))
 
 
-def rotated_iou_bev_pairs(a: np.ndarray, b: np.ndarray, diag_a) -> np.ndarray:
-    """BEV IoU of each pair of (M, 7) box rows a[i] and b[i], in [0, 1];
-    `diag_a` is `bev_diagonals(a)`.
+def rotated_iou_bev_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """BEV IoU of each pair of (M, 7) box rows a[i] and b[i], in [0, 1].
 
     It agrees with a Sutherland-Hodgman polygon clipper to about 1e-14; the
     tests hold it to one. The pair's bits depend on which box is `a`.
     """
-    inter = _intersection_area_pairs(a, b, diag_a)
+    inter = _intersection_area_pairs(a, b)
     return inter / (a[:, 3] * a[:, 4] + b[:, 3] * b[:, 4] - inter)
 
 
@@ -293,8 +284,7 @@ def rotated_iou_bev_many(box: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     """BEV IoU of one (7,) box row against each of (M, 7) rows, in [0, 1]."""
     box = np.asarray(box, dtype=np.float64)
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 7)
-    return rotated_iou_bev_pairs(np.broadcast_to(box, boxes.shape), boxes,
-                                 math.hypot(box[3], box[4]))
+    return rotated_iou_bev_pairs(np.broadcast_to(box, boxes.shape), boxes)
 
 
 def rotated_iou_3d_many(box: np.ndarray, boxes: np.ndarray) -> np.ndarray:
@@ -304,8 +294,7 @@ def rotated_iou_3d_many(box: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 7)
     z_lo = np.maximum(box[2] - box[5] / 2, boxes[:, 2] - boxes[:, 5] / 2)
     z_hi = np.minimum(box[2] + box[5] / 2, boxes[:, 2] + boxes[:, 5] / 2)
-    area = _intersection_area_pairs(np.broadcast_to(box, boxes.shape), boxes,
-                                    math.hypot(box[3], box[4]))
+    area = _intersection_area_pairs(np.broadcast_to(box, boxes.shape), boxes)
     inter = area * np.maximum(z_hi - z_lo, 0.0)
     return inter / (box[3] * box[4] * box[5] + boxes[:, 3] * boxes[:, 4] * boxes[:, 5] - inter)
 

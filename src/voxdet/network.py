@@ -144,6 +144,9 @@ def init_params(config: NetworkConfig, seed: int = 0,
 
 def validate_params(params: dict, config: NetworkConfig, with_offsets: bool) -> None:
     want = parameter_shapes(config, with_offsets)
+    for name in params:
+        if name not in want:
+            raise ValueError(f"unexpected parameter {name}")
     for name, shape in want.items():
         if name not in params:
             raise ValueError(f"missing parameter {name}")

@@ -277,6 +277,9 @@ def _suite_iou(rng) -> tuple[bool, str]:
     far = Box3D(box.cx + 100.0, box.cy, 0.0, 1.0, 1.0, 1.0, 0.3)
     if rotated_iou_bev(box, far) != 0.0:
         return False, "disjoint IoU != 0"
+    a = Box3D(0, 0, 0, 3.9, 1.6, 1, 0.3)
+    if rotated_iou_bev(a, Box3D(-1.6 * math.sin(0.3), 1.6 * math.cos(0.3), 0, 3.9, 1.6, 1, 0.3)):
+        return False, "shared-edge IoU != 0"
     a = Box3D(0, 0, 0, 2, 2, 1, 0.0)
     b = Box3D(1.0, 0, 0, 2, 2, 1, 0.0)
     if abs(rotated_iou_bev(a, b) - 1.0 / 3.0) > 1e-9:

@@ -131,6 +131,17 @@ def test_train_without_reference_checkpoint_is_missing(pipeline, capsys):
     assert "reference checkpoint not found" in capsys.readouterr().err
 
 
+def test_train_from_a_live_checkpoint_as_reference_exits_4(pipeline, capsys):
+    # the live set's trained offset conv is no part of a reference branch
+    cfg = replace(pipeline["cfg"],
+                  data=replace(pipeline["cfg"].data, out=str(pipeline["root"] / "live_ref")))
+    path = pipeline["root"] / "live_ref.yaml"
+    path.write_text(dumps_config(cfg))
+    live = str(pipeline["root"] / "runs" / "pfe.ckpt")
+    assert cli.main(["train", "--config", str(path), "--cfg-checkpoint", live]) == 4
+    assert "unexpected parameter offsets.bias" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["train-cfg", "train"])
 def test_training_assigns_targets_with_the_configured_anchors(pipeline, monkeypatch,
                                                               command):

@@ -29,6 +29,7 @@ from voxdet.detection_head import (
 from voxdet.engine import Tape, Tensor
 from voxdet.geometry import Box3D
 from voxdet.voxelizer import GridConfig
+from helpers import TOUCHING_YAWS, moved
 from oracles import clip_iou_bev, decode_box as scalar_decode_box, per_box_nms
 
 
@@ -297,6 +298,13 @@ def test_assign_matches_oracle_on_a_16x16_grid(seed):
     assert not iou[:, 3].any() and not (out.matched_gt == 6).any()
 
 
+@pytest.mark.parametrize("yaw", TOUCHING_YAWS)
+def test_an_anchor_that_only_shares_an_edge_with_a_box_stays_negative(yaw):
+    anchor = np.array([12.5, -3.25, -1.0, 3.9, 1.6, 1.56, yaw])
+    car = Box3D(*moved(anchor, 0.0, 1.6))
+    assert assign_targets(anchor[None], [car]).labels.tolist() == [NEGATIVE]
+
+
 def test_every_overlapped_gt_claims_an_anchor():
     rng = np.random.default_rng(2)
     grid = flat_grid()
@@ -463,6 +471,12 @@ def test_nms_trivial_cases():
     twin = Box3D(0, 0, 0, 4, 2, 1.5, 0.3)
     assert list(nms_bev(rows([box, twin]), [0.2, 0.9])) == [1]
     assert list(nms_bev(rows([box, twin]), [0.9, 0.2])) == [0]
+
+
+@pytest.mark.parametrize("yaw", TOUCHING_YAWS)
+def test_nms_keeps_both_boxes_that_only_share_an_edge(yaw):
+    box = np.array([12.5, -3.25, -1.0, 3.9, 1.6, 1.56, yaw])
+    assert nms_bev(np.stack([box, moved(box, 0.0, 1.6)]), [0.9, 0.8], 0.0).tolist() == [0, 1]
 
 
 def test_nms_matches_reference_on_random_boxes():

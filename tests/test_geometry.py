@@ -10,7 +10,6 @@ from voxdet.geometry import (
     Box3D,
     PointCloud,
     avg_closest_point_distance,
-    bev_diagonals,
     box_corners_bev,
     normalize_angle,
     points_in_box,
@@ -19,11 +18,13 @@ from voxdet.geometry import (
     rotated_iou_bev_many,
     rotated_iou_bev_pairs,
 )
+from helpers import touching_pairs
 from oracles import (
     brute_mean_closest,
     clip_iou_3d,
     clip_iou_bev,
     mc_iou_bev,
+    one_to_many_area,
     one_to_many_iou_3d,
     one_to_many_iou_bev,
     polygon_area,
@@ -259,7 +260,7 @@ def _pair_cases(rng):
             row(*offset(box, sign[0] * l, sign[1] * w), l, w, normalize_angle(yaw + math.pi)),
         ]
         # scaled copies whose corner meets one of the box's: their circumcircles
-        # touch, so the gate decides them on its last bit
+        # touch, and they share one point at most
         for k in rng.uniform(0.2, 3, 150):
             sign = rng.choice([-1.0, 1.0], 2)
             touching.append(row(*offset(box, sign[0] * l * (1 + k) / 2, sign[1] * w * (1 + k) / 2),
@@ -279,6 +280,8 @@ def _pair_cases(rng):
 
 
 def test_iou_many_match_the_one_box_kernel_bit_for_bit():
+    # the one-box kernel's bits wherever its overlap exceeds 1e-12 of the
+    # smaller box's area, and exactly 0 at every sliver below that
     rng = np.random.default_rng(25)
     cases = list(_pair_cases(rng))
     # one neighbourhood that takes the kernel more than one clip step
@@ -287,24 +290,39 @@ def test_iou_many_match_the_one_box_kernel_bit_for_bit():
     crowd[:, :2] += rng.uniform(-3, 3, (len(crowd), 2))
     crowd[:, 6] = rng.uniform(-math.pi, math.pi, len(crowd))
     cases.append((box, crowd))
-    # corner-meeting pairs whose gate turns on the last bit of the first box's
-    # diagonal, where math.hypot and np.hypot differ
-    for first, second in (([2.7, -0.1, 0.0, 4.13, 1.39, 1.0, 2.44],
-                           [0.4425978631035683, 3.6273496740090563, 0.0, 4.13, 1.39, 1.0, 2.44]),
-                          ([-5.0, 4.7, 0.0, 3.39, 2.99, 1.0, 0.1],
-                           [-8.074562204518491, 1.3865022633859558, 0.0, 3.39, 2.99, 1.0, 0.1])):
+    # corner-meeting pairs on which the one-box kernel's gate turns on the last
+    # bit of the first box's diagonal, where math.hypot and np.hypot differ
+    meeting = (([2.7, -0.1, 0.0, 4.13, 1.39, 1.0, 2.44],
+                [0.4425978631035683, 3.6273496740090563, 0.0, 4.13, 1.39, 1.0, 2.44]),
+               ([-5.0, 4.7, 0.0, 3.39, 2.99, 1.0, 0.1],
+                [-8.074562204518491, 1.3865022633859558, 0.0, 3.39, 2.99, 1.0, 0.1]))
+    for first, second in meeting:
         assert math.hypot(first[3], first[4]) != np.hypot(first[3], first[4])
         cases.append((np.array(first), np.array([second])))
     for box, boxes in cases:
+        smaller = np.minimum(box[3] * box[4], boxes[:, 3] * boxes[:, 4])
+        sliver = one_to_many_area(box, boxes) <= 1e-12 * smaller
         for got, want in ((rotated_iou_bev_many(box, boxes), one_to_many_iou_bev(box, boxes)),
                           (rotated_iou_3d_many(box, boxes), one_to_many_iou_3d(box, boxes))):
-            assert got.tobytes() == want.tobytes()
+            assert got[~sliver].tobytes() == want[~sliver].tobytes()
+            assert (got[sliver] == 0.0).all()
         # one row at a time, and the pair kernel with the row repeated, give the same bits
         some = boxes[:24]
         singles = np.concatenate([rotated_iou_bev_many(box, b) for b in some])
-        repeated = np.tile(box, (len(some), 1))
-        pairs = rotated_iou_bev_pairs(repeated, some, bev_diagonals(repeated))
+        pairs = rotated_iou_bev_pairs(np.tile(box, (len(some), 1)), some)
         assert singles.tobytes() == pairs.tobytes() == rotated_iou_bev_many(box, some).tobytes()
+    for first, second in meeting:
+        pair = np.array(first), np.array([second])
+        assert rotated_iou_bev_many(*pair)[0] == rotated_iou_3d_many(*pair)[0] == 0.0
+
+
+def test_boxes_that_only_touch_score_exactly_zero():
+    for a, b in touching_pairs():
+        for first, second in ((a, b), (b, a)):
+            assert rotated_iou_bev(Box3D(*first), Box3D(*second)) == 0.0
+            assert rotated_iou_bev_many(first, second)[0] == 0.0
+            assert rotated_iou_3d_many(first, second)[0] == 0.0
+            assert rotated_iou_bev_pairs(first[None], second[None])[0] == 0.0
 
 
 def test_polygon_area_box():
