@@ -77,49 +77,6 @@ def default_run_config() -> RunConfig:
     return RunConfig()
 
 
-# network.grid is serialized once, at the top level
-_NETWORK_FIELDS = tuple(f.name for f in fields(NetworkConfig) if f.name != "grid")
-_TUPLE_KEYS = {"range_min", "range_max", "voxel_size", "stage_channels", "dims"}
-
-
-def _section_dict(obj, names) -> dict:
-    out = {}
-    for name in names:
-        value = getattr(obj, name)
-        out[name] = list(value) if name in _TUPLE_KEYS else value
-    return out
-
-
-def to_dict(cfg: RunConfig) -> dict:
-    return {
-        "data": _section_dict(cfg.data, (f.name for f in fields(DataPaths))),
-        "grid": _section_dict(cfg.grid, (f.name for f in fields(GridConfig))),
-        "network": _section_dict(cfg.network, _NETWORK_FIELDS),
-        "conceptual": _section_dict(cfg.conceptual, (f.name for f in fields(ConceptualConfig))),
-        "anchors": _section_dict(cfg.anchors, (f.name for f in fields(AnchorConfig))),
-        "train": _section_dict(cfg.train, (f.name for f in fields(TrainConfig))),
-        "eval": _section_dict(cfg.eval, (f.name for f in fields(EvalConfig))),
-    }
-
-
-def _build_section(name: str, cls, raw: dict) -> object:
-    known = {f.name for f in fields(cls)}
-    if name == "network":
-        known.discard("grid")
-    for key in raw:
-        if key not in known:
-            raise ValueError(f"unknown key '{key}' in section '{name}'")
-    missing = [f.name for f in fields(cls) if f.name in known and f.name not in raw
-               and f.default is MISSING and f.default_factory is MISSING]
-    if missing:
-        raise ValueError(f"section '{name}' is missing required keys: {', '.join(missing)}")
-    for key in raw:
-        if key in _TUPLE_KEYS and not isinstance(raw[key], (list, tuple)):
-            raise ValueError(f"{name}.{key} must be a list of values, got {raw[key]!r}")
-    kwargs = {k: tuple(v) if k in _TUPLE_KEYS else v for k, v in raw.items()}
-    return kwargs if name == "network" else cls(**kwargs)
-
-
 _SECTIONS = {
     "data": DataPaths,
     "grid": GridConfig,
@@ -129,6 +86,40 @@ _SECTIONS = {
     "train": TrainConfig,
     "eval": EvalConfig,
 }
+_TUPLE_KEYS = {"range_min", "range_max", "voxel_size", "stage_channels", "dims"}
+
+
+def _section_fields(name: str) -> list:
+    """The fields a section reads and writes; network.grid is the top-level grid."""
+    return [f for f in fields(_SECTIONS[name]) if (name, f.name) != ("network", "grid")]
+
+
+def _section_dict(cfg: RunConfig, name: str) -> dict:
+    out = {}
+    for f in _section_fields(name):
+        value = getattr(getattr(cfg, name), f.name)
+        out[f.name] = list(value) if f.name in _TUPLE_KEYS else value
+    return out
+
+
+def to_dict(cfg: RunConfig) -> dict:
+    return {name: _section_dict(cfg, name) for name in _SECTIONS}
+
+
+def _build_section(name: str, raw: dict) -> object:
+    known = {f.name: f for f in _section_fields(name)}
+    for key in raw:
+        if key not in known:
+            raise ValueError(f"unknown key '{key}' in section '{name}'")
+    missing = [key for key, f in known.items() if key not in raw
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"section '{name}' is missing required keys: {', '.join(missing)}")
+    for key in raw:
+        if key in _TUPLE_KEYS and not isinstance(raw[key], (list, tuple)):
+            raise ValueError(f"{name}.{key} must be a list of values, got {raw[key]!r}")
+    kwargs = {k: tuple(v) if k in _TUPLE_KEYS else v for k, v in raw.items()}
+    return kwargs if name == "network" else _SECTIONS[name](**kwargs)
 
 
 def from_dict(d: dict) -> RunConfig:
@@ -139,11 +130,9 @@ def from_dict(d: dict) -> RunConfig:
             raise ValueError(f"unknown config section '{key}'")
         if not isinstance(d[key], dict):
             raise ValueError(f"section '{key}' must be a mapping")
-    grid = (_build_section("grid", GridConfig, d["grid"])
-            if "grid" in d else default_grid())
-    net_kwargs = _build_section("network", NetworkConfig, d.get("network", {}))
-    parts = {name: _build_section(name, cls, d[name])
-             for name, cls in _SECTIONS.items()
+    grid = _build_section("grid", d["grid"]) if "grid" in d else default_grid()
+    net_kwargs = _build_section("network", d.get("network", {}))
+    parts = {name: _build_section(name, d[name]) for name in _SECTIONS
              if name in d and name not in ("grid", "network")}
     return RunConfig(grid=grid,
                      network=NetworkConfig(grid=grid, **net_kwargs), **parts)

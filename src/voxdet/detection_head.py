@@ -2,7 +2,7 @@
 
 Anchors tile the bird's-eye feature map, one per (pixel, yaw).  Box
 regression uses normalized deltas relative to the matched anchor; the
-codec ships in two conventions (see encode_box).  Classification is a
+codec ships in two conventions (see _centre_terms).  Classification is a
 sigmoid focal loss over positive/negative anchors with ignored ones
 excluded.
 """
@@ -107,27 +107,34 @@ def flatten_reg_map(reg_map: Tensor) -> Tensor:
     return engine.reshape(engine.transpose(split, (2, 3, 0, 1)), (h * w * n_yaw, 7))
 
 
+def _centre_terms(anchors: np.ndarray, convention: str) -> tuple[float, np.ndarray]:
+    """The sign and (K, 3) divisors of the centre deltas of (K, 7) anchor rows."""
+    d_a = np.array([math.hypot(l, w) for l, w in anchors[:, 3:5].tolist()])
+    if convention == CONVENTION_PRINTED:
+        return -1.0, np.column_stack([d_a, anchors[:, 5], d_a])
+    if convention == CONVENTION_LINEAGE:
+        return 1.0, np.column_stack([d_a, d_a, anchors[:, 5]])
+    raise ValueError(f"unknown codec convention {convention!r}")
+
+
+def encode_rows(anchors: np.ndarray, gts: np.ndarray,
+                convention: str = CONVENTION_PRINTED) -> np.ndarray:
+    """Deltas (dx, dy, dz, dl, dw, dh, dyaw) of (K, 7) gt rows relative to
+    (K, 7) anchor rows; the sizes take `math.log`, as decode_rows `math.exp`."""
+    anchors = np.asarray(anchors, dtype=np.float64).reshape(-1, 7)
+    gts = np.asarray(gts, dtype=np.float64).reshape(-1, 7)
+    sign, norm = _centre_terms(anchors, convention)
+    ratios = (gts[:, 3:6] / anchors[:, 3:6]).ravel().tolist()
+    # signing both terms gives a-minus-g exactly, with +0.0 for equal centres
+    return np.column_stack([(sign * gts[:, :3] - sign * anchors[:, :3]) / norm,
+                            np.reshape([math.log(v) for v in ratios], (-1, 3)),
+                            gts[:, 6] - anchors[:, 6]])
+
+
 def encode_box(anchor: Box3D, gt: Box3D,
                convention: str = CONVENTION_PRINTED) -> np.ndarray:
-    """Seven deltas (dx, dy, dz, dl, dw, dh, dyaw) for gt relative to anchor."""
-    d_a = math.hypot(anchor.l, anchor.w)
-    if convention == CONVENTION_PRINTED:
-        dx = (anchor.cx - gt.cx) / d_a
-        dy = (anchor.cy - gt.cy) / anchor.h
-        dz = (anchor.cz - gt.cz) / d_a
-    elif convention == CONVENTION_LINEAGE:
-        dx = (gt.cx - anchor.cx) / d_a
-        dy = (gt.cy - anchor.cy) / d_a
-        dz = (gt.cz - anchor.cz) / anchor.h
-    else:
-        raise ValueError(f"unknown codec convention {convention!r}")
-    return np.array([
-        dx, dy, dz,
-        math.log(gt.l / anchor.l),
-        math.log(gt.w / anchor.w),
-        math.log(gt.h / anchor.h),
-        gt.yaw - anchor.yaw,
-    ])
+    """Seven deltas for gt relative to anchor: one row of encode_rows."""
+    return encode_rows(anchor.as_array(), gt.as_array(), convention)[0]
 
 
 _BAD_DECODE = "decoded boxes must be finite, with positive dimensions"
@@ -135,13 +142,11 @@ _BAD_DECODE = "decoded boxes must be finite, with positive dimensions"
 
 def decode_rows(anchors: np.ndarray, deltas: np.ndarray,
                 convention: str = CONVENTION_PRINTED) -> np.ndarray:
-    """Exact inverse of encode_box on (K, 7) anchor rows and deltas; (K, 7) box rows.
+    """Exact inverse of encode_rows on (K, 7) anchor rows and deltas; (K, 7) box rows.
 
     Each row holds the floats `Box3D` would store for it. So the sizes take
     `math.exp` and the anchor diagonal `math.hypot`, which numpy does not
-    match bit for bit, and the yaw is wrapped twice, as the scalar decode
-    and then `Box3D` wrapped it (a sum just below -pi wraps to +pi once,
-    and to -pi twice). A row that `Box3D` would reject raises ValueError.
+    match bit for bit. A row that `Box3D` would reject raises ValueError.
     """
     anchors = np.asarray(anchors, dtype=np.float64).reshape(-1, 7)
     deltas = np.asarray(deltas, dtype=np.float64).reshape(-1, 7)
@@ -149,20 +154,14 @@ def decode_rows(anchors: np.ndarray, deltas: np.ndarray,
     # the yaw wrap from warning on inf first
     if not (np.isfinite(anchors).all() and np.isfinite(deltas).all()):
         raise ValueError(_BAD_DECODE)
-    d_a = np.array([math.hypot(l, w) for l, w in anchors[:, 3:5].tolist()])
-    if convention == CONVENTION_PRINTED:
-        sign, norm = -1.0, np.column_stack([d_a, anchors[:, 5], d_a])
-    elif convention == CONVENTION_LINEAGE:
-        sign, norm = 1.0, np.column_stack([d_a, d_a, anchors[:, 5]])
-    else:
-        raise ValueError(f"unknown codec convention {convention!r}")
+    sign, norm = _centre_terms(anchors, convention)
     try:
         scale = np.reshape([math.exp(v) for v in deltas[:, 3:6].ravel().tolist()], (-1, 3))
     except OverflowError:  # a size delta above log(float max), about 709.78
         raise ValueError(_BAD_DECODE) from None
     out = np.column_stack([anchors[:, :3] + sign * deltas[:, :3] * norm,
                            anchors[:, 3:6] * scale,
-                           normalize_angle(normalize_angle(anchors[:, 6] + deltas[:, 6]))])
+                           normalize_angle(anchors[:, 6] + deltas[:, 6])])
     if not np.isfinite(out).all() or (out[:, 3:6] <= 0).any():
         raise ValueError(_BAD_DECODE)
     return out
@@ -207,9 +206,8 @@ def assign_targets(anchors: np.ndarray, gts: Sequence[Box3D],
     if not gts:
         return TargetAssignment(labels, matched, deltas)
 
-    iou = np.zeros((n, len(gts)), dtype=np.float64)
-    for g, gbox in enumerate(gts):
-        iou[:, g] = rotated_iou_bev_many(gbox.as_array(), anchors)
+    gt_rows = np.array([gbox.as_array() for gbox in gts])
+    iou = np.column_stack([rotated_iou_bev_many(row, anchors) for row in gt_rows])
 
     best_iou = iou.max(axis=1)
     best_gt = iou.argmax(axis=1)
@@ -225,8 +223,8 @@ def assign_targets(anchors: np.ndarray, gts: Sequence[Box3D],
             labels[a] = POSITIVE
             matched[a] = g
 
-    for a in np.flatnonzero(labels == POSITIVE):
-        deltas[a] = encode_box(Box3D(*anchors[a]), gts[matched[a]], convention)
+    pos = labels == POSITIVE
+    deltas[pos] = encode_rows(anchors[pos], gt_rows[matched[pos]], convention)
     return TargetAssignment(labels, matched, deltas)
 
 

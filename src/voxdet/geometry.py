@@ -25,9 +25,11 @@ def normalize_angle(angle):
     """Wrap an angle, or each of an array of angles, to [-pi, pi).
 
     On an array `%` is `np.remainder`, which gives the same floats as
-    Python's `%` on a float.
+    Python's `%` on a float. The second `%` sends a remainder that rounded
+    up to 2 pi to 0, so a sum just below -pi gives -pi rather than +pi, and
+    a wrapped angle wraps to itself.
     """
-    return (angle + math.pi) % TWO_PI - math.pi
+    return (angle + math.pi) % TWO_PI % TWO_PI - math.pi
 
 
 def rotation_2d(yaw: float) -> np.ndarray:
@@ -123,16 +125,17 @@ def box_corners_bev(box: Box3D) -> np.ndarray:
     return half @ rotation_2d(box.yaw).T + np.array([box.cx, box.cy])
 
 
-def points_in_box(cloud: PointCloud, box: Box3D, slack: float = 1e-9) -> np.ndarray:
-    """Indices of points inside the box, boundary-inclusive.
+# Absorbs rigid-transform roundoff, so points sitting exactly on a face stay
+# inside after the box and its points are moved together.
+_POINT_SLACK = 1e-9
 
-    `slack` absorbs rigid-transform roundoff so points sitting exactly on a
-    face stay inside after the box and its points are moved together.
-    """
+
+def points_in_box(cloud: PointCloud, box: Box3D) -> np.ndarray:
+    """Indices of points inside the box, boundary-inclusive, give or take `_POINT_SLACK`."""
     if len(cloud) == 0:
         return np.zeros(0, dtype=np.int64)
     local = (cloud.xyz - box.center) @ rotation_z(box.yaw)
-    half = box.dims / 2 + slack
+    half = box.dims / 2 + _POINT_SLACK
     mask = (np.abs(local) <= half).all(axis=1)
     return np.nonzero(mask)[0]
 

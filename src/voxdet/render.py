@@ -20,6 +20,7 @@ POINT_COLOR = (150, 150, 150)
 GT_COLOR = (0, 200, 80)
 PRED_COLOR = (230, 50, 50)
 HEAT_COLOR = (255, 140, 0)
+HEAT_ALPHA = 0.6  # the heat layer's opacity at weight 1
 
 
 def world_to_pixel(x, y, grid: GridConfig, ppm_scale: int) -> tuple[np.ndarray, np.ndarray]:
@@ -50,11 +51,11 @@ def _paint(img: np.ndarray, rows, cols, color) -> None:
 
 
 def draw_points(img: np.ndarray, cloud: PointCloud, grid: GridConfig,
-                ppm_scale: int = 4, color=POINT_COLOR) -> None:
+                ppm_scale: int = 4) -> None:
     if len(cloud) == 0:
         return
     rows, cols = world_to_pixel(cloud.data[:, 0], cloud.data[:, 1], grid, ppm_scale)
-    _paint(img, rows, cols, color)
+    _paint(img, rows, cols, POINT_COLOR)
 
 
 def draw_box(img: np.ndarray, box: Box3D, grid: GridConfig,
@@ -71,8 +72,7 @@ def draw_box(img: np.ndarray, box: Box3D, grid: GridConfig,
         _paint(img, rows, cols, color)
 
 
-def heat_overlay(img: np.ndarray, weights: np.ndarray, alpha: float = 0.6,
-                 color=HEAT_COLOR) -> None:
+def heat_overlay(img: np.ndarray, weights: np.ndarray) -> None:
     """Blend a [0,1] map over the whole canvas, nearest-neighbour upsampled."""
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 2:
@@ -85,8 +85,8 @@ def heat_overlay(img: np.ndarray, weights: np.ndarray, alpha: float = 0.6,
     reps = (h // weights.shape[0], w // weights.shape[1])
     # weight map rows follow world y ascending; image rows run y descending
     up = np.kron(weights[::-1, :], np.ones(reps))[:, :, None]
-    mix = alpha * up
-    img[:] = np.clip((1.0 - mix) * img + mix * np.array(color), 0, 255).astype(np.uint8)
+    mix = HEAT_ALPHA * up
+    img[:] = np.clip((1.0 - mix) * img + mix * np.array(HEAT_COLOR), 0, 255).astype(np.uint8)
 
 
 def render_scene(cloud: PointCloud, gt_boxes: list[Box3D], pred_boxes: list[Box3D],

@@ -58,6 +58,7 @@ from .voxelizer import require_float, require_int
 _PHASE_CFG = 1
 _PHASE_PAIR = 2
 _CHUNK = 1 << 14  # elements per Adam pass: 128 KB per operand, so six operands stay in cache
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
 @dataclass(frozen=True)
@@ -135,27 +136,25 @@ class Adam:
     inside the first step. `step` updates `m`, `v` and every parameter's
     `.data` in place, `_CHUNK` elements at a time through two chunk-sized
     scratch buffers, so it holds no parameter-sized temporary. Each element
-    still goes through `beta1*m + (1-beta1)*g`, `beta2*v + ((1-beta2)*g)*g`,
-    `/bias1`, `/bias2`, `sqrt`, `+eps`, `lr*m_hat`, `/` and `-` in that
+    still goes through `_BETA1*m + (1-_BETA1)*g`, `_BETA2*v + ((1-_BETA2)*g)*g`,
+    `/bias1`, `/bias2`, `sqrt`, `+_EPS`, `lr*m_hat`, `/` and `-` in that
     order, so the bytes equal those of the whole-array expressions. A
     parameter without a gradient steps as if its gradient were zero.
     `zero_grad` sets `.grad = None`: zeroed buffers kept between steps
     would stay alive in every parameter dict a caller holds.
     """
 
-    def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor]):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {k: np.zeros_like(v.data) for k, v in params.items()}
         self.v = {k: np.zeros_like(v.data) for k, v in params.items()}
 
     def step(self, lr: float) -> None:
         self.t += 1
-        bias1 = 1.0 - self.beta1 ** self.t
-        bias2 = 1.0 - self.beta2 ** self.t
-        keep1, keep2 = 1 - self.beta1, 1 - self.beta2
+        bias1 = 1.0 - _BETA1 ** self.t
+        bias2 = 1.0 - _BETA2 ** self.t
+        keep1, keep2 = 1 - _BETA1, 1 - _BETA2
         scratch_a, scratch_b = np.empty(_CHUNK), np.empty(_CHUNK)
         for name in sorted(self.params):
             p = self.params[name]
@@ -166,8 +165,8 @@ class Adam:
                 part = slice(lo, lo + _CHUNK)
                 mc, vc, pc = m[part], v[part], data[part]
                 a, b = scratch_a[:pc.size], scratch_b[:pc.size]
-                np.multiply(mc, self.beta1, out=mc)
-                np.multiply(vc, self.beta2, out=vc)
+                np.multiply(mc, _BETA1, out=mc)
+                np.multiply(vc, _BETA2, out=vc)
                 if grad is None:  # (1 - beta) * 0.0 adds +0.0, which turns -0.0 into 0.0
                     np.add(mc, 0.0, out=mc)
                     np.add(vc, 0.0, out=vc)
@@ -178,7 +177,7 @@ class Adam:
                     np.add(vc, np.multiply(a, gc, out=a), out=vc)
                 np.multiply(np.divide(mc, bias1, out=a), lr, out=a)
                 np.divide(vc, bias2, out=b)
-                np.add(np.sqrt(b, out=b), self.eps, out=b)
+                np.add(np.sqrt(b, out=b), _EPS, out=b)
                 np.subtract(pc, np.divide(a, b, out=a), out=pc)
 
     def zero_grad(self) -> None:

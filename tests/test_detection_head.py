@@ -19,6 +19,7 @@ from voxdet.detection_head import (
     decode_box,
     decode_rows,
     encode_box,
+    encode_rows,
     flatten_cls_map,
     flatten_reg_map,
     focal_loss,
@@ -136,6 +137,12 @@ def test_codec_roundtrip_randomized(convention):
         gt = random_box(rng)
         back = decode_box(anchor, encode_box(anchor, gt, convention), convention)
         np.testing.assert_allclose(back.as_array(), gt.as_array(), atol=1e-9)
+    anchors = np.array([random_box(rng).as_array() for _ in range(300)])
+    gts = np.array([random_box(rng).as_array() for _ in range(300)])
+    deltas = encode_rows(anchors, gts, convention)
+    np.testing.assert_allclose(decode_rows(anchors, deltas, convention), gts, atol=1e-9)
+    for a, g, row in zip(anchors, gts, deltas):
+        assert encode_box(Box3D(*a), Box3D(*g), convention).tobytes() == row.tobytes()
 
 
 @pytest.mark.parametrize("convention", [CONVENTION_PRINTED, CONVENTION_LINEAGE])
@@ -148,7 +155,7 @@ def test_decode_rows_equal_the_scalar_decode(convention):
     deltas = rng.normal(0, 0.5, (2000, 7))
     deltas[:, 6] = rng.uniform(-2 * math.pi, 2 * math.pi, 2000)
     deltas[:4, 6] = [math.pi, -math.pi, 2 * math.pi, -2 * math.pi]
-    # one wrap takes this sum to +pi, and only Box3D's second wrap to -pi
+    # one ulp below -pi: the wrap must give -pi, as Box3D stores it
     anchors[4, 6], deltas[4, 6] = 0.0, np.nextafter(-math.pi, -4.0)
     rows = decode_rows(anchors, deltas, convention)
     want = np.array([scalar_decode_box(Box3D(*a), d, convention).as_array()
@@ -192,6 +199,8 @@ def test_codec_rejects_unknown_convention():
     box = Box3D(0, 0, 0, 1, 1, 1, 0)
     with pytest.raises(ValueError, match="convention"):
         encode_box(box, box, "other")
+    with pytest.raises(ValueError, match="convention"):
+        encode_rows(box.as_array(), box.as_array(), "other")
     with pytest.raises(ValueError, match="convention"):
         decode_box(box, np.zeros(7), "other")
     with pytest.raises(ValueError, match="convention"):
@@ -240,6 +249,14 @@ def test_assign_exact_anchor_positive_zero_deltas():
     assert out.labels[10] == POSITIVE
     assert out.matched_gt[10] == 0
     np.testing.assert_array_equal(out.deltas[10], np.zeros(7))
+
+
+def test_assign_encodes_the_raw_anchor_yaw():
+    # 0.3 is not a fixed point of normalize_angle; the delta must use it as given
+    anchors = np.array([[0.0, 0.0, -1.0, 3.9, 1.6, 1.56, 0.3]])
+    out = assign_targets(anchors, [Box3D(0.0, 0.0, -1.0, 3.9, 1.6, 1.56, 0.5)])
+    assert out.labels[0] == POSITIVE
+    assert out.deltas[0, 6] == 0.5 - 0.3
 
 
 def test_assign_matches_brute_force_oracle():

@@ -39,6 +39,14 @@ def test_normalize_angle_range():
         assert math.isclose(math.cos(n), math.cos(a), abs_tol=1e-12)
 
 
+def test_a_sum_just_below_minus_pi_wraps_to_minus_pi():
+    # one ulp below -pi: the remainder rounds up to 2 pi, which is 0 again
+    below = float(np.nextafter(-math.pi, -4.0))
+    assert Box3D(0, 0, 0, 1, 1, 1, below).yaw == -math.pi
+    assert normalize_angle(below) == -math.pi
+    assert normalize_angle(np.array([below, 0.0]))[0] == -math.pi
+
+
 def test_box_validation():
     with pytest.raises(ValueError):
         Box3D(0, 0, 0, -1.0, 1.0, 1.0, 0.0)
