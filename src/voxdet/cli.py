@@ -69,6 +69,16 @@ def _load_checkpoint(path, what: str = "checkpoint") -> dict[str, np.ndarray]:
     return engine.load_checkpoint(path)
 
 
+def _outputs(root, *names: str) -> list[str]:
+    """Make the directory `root` and check each file a subcommand will write
+    there (engine.check_writable), before the work that fills them starts."""
+    engine.make_dir(root)
+    paths = [os.path.join(root, name) for name in names]
+    for path in paths:
+        engine.check_writable(path)
+    return paths
+
+
 def _resolve_config(args) -> RunConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -84,7 +94,7 @@ def _resolve_config(args) -> RunConfig:
 def _cmd_make_data(args) -> int:
     recipe = SceneRecipe(n_cars=args.cars, base_points=args.base_points,
                          occlusion=args.occlusion)
-    paths = make_dataset(args.out, args.scenes, args.seed or 0, recipe)
+    paths = make_dataset(args.out, args.scenes, args.seed, recipe)
     print(f"wrote {len(paths)} scenes to {args.out}")
     return EXIT_OK
 
@@ -95,7 +105,7 @@ def _cmd_build_conceptual(args) -> int:
     bank = conceptual.build_instance_bank(
         [(c, b) for _, c, b in scenes], m_bins=cfg.conceptual.m_bins,
         k_percent=cfg.conceptual.k_percent, min_points=cfg.conceptual.min_points)
-    engine.make_dir(cfg.data.conceptual)
+    (report_path,) = _outputs(cfg.data.conceptual, "report.txt")
     lines = ["scene objects fallbacks mean_distance"]
     for name, cloud, boxes in scenes:
         composed, matches = conceptual.compose_conceptual_scene(cloud, boxes, bank)
@@ -105,7 +115,7 @@ def _cmd_build_conceptual(args) -> int:
         fallbacks = sum(1 for m in matches if not math.isfinite(m.distance))
         lines.append(f"{name} {len(matches)} {fallbacks} {mean_d!r}")
     report = "\n".join(lines) + "\n"
-    with engine.atomic_write(os.path.join(cfg.data.conceptual, "report.txt")) as fh:
+    with engine.atomic_write(report_path) as fh:
         fh.write(report)
     print(report, end="")
     return EXIT_OK
@@ -114,11 +124,11 @@ def _cmd_build_conceptual(args) -> int:
 def _cmd_train_cfg(args) -> int:
     cfg = _resolve_config(args)
     scenes = [(c, b) for _, c, b in _load_dataset(cfg.data.conceptual)]
-    engine.make_dir(cfg.data.out)
+    ckpt_path, log_path = _outputs(cfg.data.out, "cfg.ckpt", "cfg_log.txt")
     params, log = train_cfg(scenes, cfg.network, cfg.train, checkpoint_dir=cfg.data.out,
                             anchors=cfg.anchors)
-    engine.save_checkpoint(os.path.join(cfg.data.out, "cfg.ckpt"), params)
-    with engine.atomic_write(os.path.join(cfg.data.out, "cfg_log.txt")) as fh:
+    engine.save_checkpoint(ckpt_path, params)
+    with engine.atomic_write(log_path) as fh:
         fh.write(format_loss_log(log))
     last = log[-1]
     print(f"trained reference branch: {len(log)} epochs, "
@@ -143,11 +153,11 @@ def _cmd_train(args) -> int:
     ckpt = args.cfg_checkpoint or os.path.join(cfg.data.out, "cfg.ckpt")
     cfg_params = {k: Tensor(v) for k, v in _load_checkpoint(ckpt, "reference checkpoint").items()}
     pairs = _load_pairs(cfg)
-    engine.make_dir(cfg.data.out)
+    ckpt_path, log_path = _outputs(cfg.data.out, "pfe.ckpt", "train_log.txt")
     params, log = train_associate(pairs, cfg_params, cfg.network, cfg.train,
                                   checkpoint_dir=cfg.data.out, anchors=cfg.anchors)
-    engine.save_checkpoint(os.path.join(cfg.data.out, "pfe.ckpt"), params)
-    with engine.atomic_write(os.path.join(cfg.data.out, "train_log.txt")) as fh:
+    engine.save_checkpoint(ckpt_path, params)
+    with engine.atomic_write(log_path) as fh:
         fh.write(format_loss_log(log))
     last = log[-1]
     print(f"trained live branch: {len(log)} epochs, "
@@ -160,13 +170,13 @@ def _cmd_eval(args) -> int:
     params = _load_checkpoint(args.checkpoint or os.path.join(cfg.data.out, "pfe.ckpt"))
     root = cfg.data.conceptual if args.dataset == "conceptual" else cfg.data.scenes
     scenes = [(c, b) for _, c, b in _load_dataset(root)]
+    (report_path,) = _outputs(cfg.data.out, f"eval_{args.dataset}.txt")
     report = evaluate(params, scenes, cfg.network, cfg.eval.iou_threshold,
                       cfg.eval.interpolation, cfg.eval.metric,
                       cfg.eval.score_threshold, cfg.eval.nms_iou, cfg.train.codec,
                       anchors=cfg.anchors)
     text = format_report(report)
-    engine.make_dir(cfg.data.out)
-    with engine.atomic_write(os.path.join(cfg.data.out, f"eval_{args.dataset}.txt")) as fh:
+    with engine.atomic_write(report_path) as fh:
         fh.write(text)
     print(text, end="")
     return EXIT_OK
@@ -183,8 +193,8 @@ def _cmd_render_bev(args) -> int:
         scenes = [scenes[args.scene]]
     params = _load_checkpoint(args.checkpoint) if args.checkpoint else None
     anchors = cfg.anchors.generate(cfg.network.bev_shape, cfg.grid)
-    engine.make_dir(cfg.data.out)
-    for name, cloud, boxes in scenes:
+    paths = _outputs(cfg.data.out, *(f"bev_{name}.ppm" for name, _, _ in scenes))
+    for (_, cloud, boxes), path in zip(scenes, paths):
         preds, weights = [], None
         if params is not None:
             out = run_branch(params, cloud, cfg.network)
@@ -196,14 +206,13 @@ def _cmd_render_bev(args) -> int:
                 weights = adaptation.reweighting_map(
                     adaptation.offset_length_map(out.offsets), fg).values
         img = render_scene(cloud, boxes, preds, cfg.grid, args.scale, weights)
-        path = os.path.join(cfg.data.out, f"bev_{name}.ppm")
         write_ppm(path, img)
         print(f"wrote {path}")
     return EXIT_OK
 
 
 def _cmd_gradcheck(args) -> int:
-    errs = verify.run_gradient_suite(args.seed or 0)
+    errs = verify.run_gradient_suite(args.seed)
     failed = []
     for name, err in errs.items():
         print(f"op {name} max_rel_err {err!r}")
@@ -218,7 +227,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    results = verify.run_selftest(args.seed or 0)
+    results = verify.run_selftest(args.seed)
     bad = False
     for name, ok, detail in results:
         print(f"suite {name} {'ok' if ok else 'FAIL'} {detail}")

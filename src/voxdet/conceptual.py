@@ -84,8 +84,6 @@ class BankInstance:
 @dataclass(frozen=True)
 class InstanceBank:
     m_bins: int
-    k_percent: float
-    min_points: int
     instances: tuple[BankInstance, ...]
     candidates: tuple[tuple[int, ...], ...]  # per bin, ranked instance ids
 
@@ -143,8 +141,7 @@ def build_instance_bank(
         candidates.append(chosen)
     if not any(candidates):
         raise ValueError("no bin yielded a candidate; every object is below the point floor")
-    return InstanceBank(m_bins, float(k_percent), int(min_points),
-                        tuple(instances), tuple(candidates))
+    return InstanceBank(m_bins, tuple(instances), tuple(candidates))
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,10 @@ POSITIVE = 1
 NEGATIVE = 0
 IGNORED = -1
 
+# focal loss (Lin et al. 2017) at SECOND's settings
+_FOCAL_ALPHA = 0.25
+_FOCAL_GAMMA = 2.0
+
 # delta conventions: "printed" divides dy by anchor height and dz by the
 # base diagonal with anchor-minus-gt centers; "lineage" is the usual
 # gt-minus-anchor with dz over anchor height.
@@ -131,12 +135,6 @@ def encode_rows(anchors: np.ndarray, gts: np.ndarray,
                             gts[:, 6] - anchors[:, 6]])
 
 
-def encode_box(anchor: Box3D, gt: Box3D,
-               convention: str = CONVENTION_PRINTED) -> np.ndarray:
-    """Seven deltas for gt relative to anchor: one row of encode_rows."""
-    return encode_rows(anchor.as_array(), gt.as_array(), convention)[0]
-
-
 _BAD_DECODE = "decoded boxes must be finite, with positive dimensions"
 
 
@@ -169,7 +167,7 @@ def decode_rows(anchors: np.ndarray, deltas: np.ndarray,
 
 def decode_box(anchor: Box3D, deltas,
                convention: str = CONVENTION_PRINTED) -> Box3D:
-    """Exact inverse of encode_box for one anchor; yaw renormalized to [-pi, pi)."""
+    """Exact inverse of encode_rows for one anchor; yaw renormalized to [-pi, pi)."""
     return Box3D(*decode_rows(anchor.as_array(), deltas, convention)[0])
 
 
@@ -228,28 +226,25 @@ def assign_targets(anchors: np.ndarray, gts: Sequence[Box3D],
     return TargetAssignment(labels, matched, deltas)
 
 
-def focal_loss(logits: Tensor, labels: np.ndarray,
-               alpha: float | None = 0.25, gamma: float = 2.0) -> Tensor:
+def focal_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Sigmoid focal loss normalized by positive count (floor 1).
 
-    alpha weights positives, 1 - alpha weights negatives; pass None for
-    unweighted.  Ignored anchors contribute nothing.
+    _FOCAL_ALPHA weights positives, 1 - _FOCAL_ALPHA negatives, and
+    _FOCAL_GAMMA is the focusing power.  Ignored anchors contribute nothing.
     """
     labels = np.asarray(labels)
     if logits.data.shape != labels.shape:
         raise ValueError("logits and labels must align")
-    alpha_pos = 1.0 if alpha is None else float(alpha)
-    alpha_neg = 1.0 if alpha is None else 1.0 - float(alpha)
     norm = max(1, int((labels == POSITIVE).sum()))
-    coeff_pos = (labels == POSITIVE) * (alpha_pos / norm)
-    coeff_neg = (labels == NEGATIVE) * (alpha_neg / norm)
+    coeff_pos = (labels == POSITIVE) * (_FOCAL_ALPHA / norm)
+    coeff_neg = (labels == NEGATIVE) * ((1.0 - _FOCAL_ALPHA) / norm)
 
     neg_logits = engine.neg(logits)
     # -log p = softplus(-x); the (1 - p_t) modulator is sigmoid of the
     # opposite-sign logit
-    pos_term = engine.mul(engine.pow_const(engine.sigmoid(neg_logits), gamma),
+    pos_term = engine.mul(engine.pow_const(engine.sigmoid(neg_logits), _FOCAL_GAMMA),
                           engine.softplus(neg_logits))
-    neg_term = engine.mul(engine.pow_const(engine.sigmoid(logits), gamma),
+    neg_term = engine.mul(engine.pow_const(engine.sigmoid(logits), _FOCAL_GAMMA),
                           engine.softplus(logits))
     weighted = engine.add(engine.mul(pos_term, Tensor(coeff_pos)),
                           engine.mul(neg_term, Tensor(coeff_neg)))
@@ -265,7 +260,7 @@ def smooth_l1_loss(pred_deltas: Tensor, assignment: TargetAssignment) -> Tensor:
         return Tensor(np.float64(0.0))
     mask = (assignment.labels == POSITIVE).astype(np.float64)[:, None] / n_pos
     diff = engine.add(pred_deltas, engine.neg(Tensor(assignment.deltas)))
-    return engine.tsum(engine.mul(engine.smooth_l1(diff, beta=1.0), Tensor(mask)))
+    return engine.tsum(engine.mul(engine.smooth_l1(diff), Tensor(mask)))
 
 
 def cfg_total_loss(bbox_loss: Tensor, cls_loss: Tensor) -> Tensor:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import contextlib
 import os
 import struct
-import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -79,34 +78,31 @@ class _Record:
         self.backward = backward
 
 
-_STATE = threading.local()
-
-
-def _tape_stack() -> list:
-    if not hasattr(_STATE, "stack"):
-        _STATE.stack = []
-    return _STATE.stack
+_ACTIVE: "Tape | None" = None
 
 
 def active_tape() -> "Tape | None":
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _ACTIVE
 
 
 class Tape:
-    """Ordered record of operations; context manager scopes what gets recorded."""
+    """Ordered record of the operations run inside its `with` block. One tape
+    records at a time: entering a second raises RuntimeError."""
 
     def __init__(self):
         self.records: list[_Record] = []
         self._spent = False
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        global _ACTIVE
+        if _ACTIVE is not None:
+            raise RuntimeError("a tape is already recording; one tape records at a time")
+        _ACTIVE = self
         return self
 
     def __exit__(self, *exc) -> None:
-        popped = _tape_stack().pop()
-        assert popped is self
+        global _ACTIVE
+        _ACTIVE = None
 
     def backward(self, loss: Tensor, seed: np.ndarray | None = None) -> None:
         """Accumulate d(loss)/d(leaf) into every requires_grad leaf on this tape.
@@ -287,14 +283,14 @@ def tmean(a: Tensor) -> Tensor:
     return _record([a], out, lambda g: (np.broadcast_to(g / n, a.data.shape).copy(),))
 
 
-def smooth_l1(a: Tensor, beta: float = 1.0) -> Tensor:
-    """Elementwise smooth L1: quadratic inside |x| < beta, linear outside."""
+def smooth_l1(a: Tensor) -> Tensor:
+    """Elementwise smooth L1 with transition 1: quadratic inside |x| < 1, linear outside."""
     x = a.data
     absx = np.abs(x)
-    out = np.where(absx < beta, 0.5 * x * x / beta, absx - 0.5 * beta)
+    out = np.where(absx < 1.0, 0.5 * x * x, absx - 0.5)
 
     def backward(g):
-        return (g * np.where(absx < beta, x / beta, np.sign(x)),)
+        return (g * np.where(absx < 1.0, x, np.sign(x)),)
 
     return _record([a], out, backward)
 
@@ -334,7 +330,7 @@ def _check_kernel(op: str, x: Tensor, weight: Tensor) -> None:
         raise ValueError(f"{op} keeps the map's size, so its kernel must be odd, got {kh}x{kw}")
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Same-size cross-correlation of a (C_in, H, W) map with (C_out, C_in, kH, kW)
     filters: stride 1 and zero padding kH // 2, kW // 2, so the output is (C_out, H, W)."""
     _check_kernel("conv2d", x, weight)
@@ -348,8 +344,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     for rows in _pieces(h, c_in * kh * kw * w * 8):
         band = xp[:, rows.start:rows.stop - 1 + kh]
         out[:, rows.start * w:rows.stop * w] = w_mat @ _im2col(band, kh, kw)
-    if bias is not None:
-        out += bias.data[:, None]
+    out += bias.data[:, None]
     out = out.reshape(c_out, h, w)
 
     def backward(g):
@@ -367,14 +362,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
                 for kx in range(kw):
                     d_blk[:, ky:ky + h, kx:kx + w] += dp[:, ky, kx]
             del dp  # before the next block's patches
-        d_x = d_xp[:, ph:ph + h, pw:pw + w]
-        d_w = d_w.reshape(weight.data.shape)
-        if bias is None:
-            return d_x, d_w
-        return d_x, d_w, g_mat.sum(axis=1)
+        return d_xp[:, ph:ph + h, pw:pw + w], d_w.reshape(weight.data.shape), g_mat.sum(axis=1)
 
-    inputs = [x, weight] if bias is None else [x, weight, bias]
-    return _record(inputs, out, backward)
+    return _record([x, weight, bias], out, backward)
 
 
 def _bilinear_plan(h: int, w: int, ys: np.ndarray, xs: np.ndarray):
@@ -446,8 +436,7 @@ def bilinear_sample(x: Tensor, xs: float, ys: float) -> Tensor:
     return _record([x], out, lambda g: (_scatter(g[:, None], idx, wgt, x.data.shape),))
 
 
-def deform_conv2d(x: Tensor, weight: Tensor, offsets: Tensor,
-                  bias: Tensor | None = None) -> Tensor:
+def deform_conv2d(x: Tensor, weight: Tensor, offsets: Tensor, bias: Tensor) -> Tensor:
     """Same-size convolution whose kernel taps sample at grid + learned offset.
 
     `offsets` is (2*kH*kW, H, W): channel 2n is the y shift and channel 2n+1
@@ -479,8 +468,7 @@ def deform_conv2d(x: Tensor, weight: Tensor, offsets: Tensor,
         idx_t = idx.reshape(4, n, -1)[:, :, cols].reshape(4, -1)
         wgt_t = wgt.reshape(4, n, -1)[:, :, cols].reshape(4, -1)
         out[:, cols] = w_mat @ _sample(xz, idx_t, wgt_t).reshape(c_in * n, -1)
-    if bias is not None:
-        out += bias.data[:, None]
+    out += bias.data[:, None]
     out = out.reshape(c_out, h, w)
 
     def backward(g):
@@ -511,14 +499,10 @@ def deform_conv2d(x: Tensor, weight: Tensor, offsets: Tensor,
                     d_off[0], d_off[1] = g_y, g_x
             d_w[:, cols] = g_mat @ s_blk.reshape(-1, h * w).T
             del d_s, s_blk  # before the next block's
-        d_w = d_w.reshape(weight.data.shape)
         d_off = d_off.reshape(2, n, h, w).swapaxes(0, 1).reshape(offsets.data.shape)
-        if bias is None:
-            return d_x, d_w, d_off
-        return d_x, d_w, d_off, g_mat.sum(axis=1)
+        return d_x, d_w.reshape(weight.data.shape), d_off, g_mat.sum(axis=1)
 
-    inputs = [x, weight, offsets] if bias is None else [x, weight, offsets, bias]
-    return _record(inputs, out, backward)
+    return _record([x, weight, offsets, bias], out, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -528,15 +512,20 @@ _CKPT_MAGIC = b"VDCK"
 _CKPT_VERSION = 1
 
 
+def check_writable(path) -> None:
+    """A directory at `path` is a ValueError naming it: no file can replace it."""
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write {os.fspath(path)}: a directory is in the way")
+
+
 @contextlib.contextmanager
 def atomic_write(path, mode: str = "w"):
     """Open a temporary file beside `path` that replaces it once the block ends.
 
     A write that fails midway leaves the previous file intact and removes
-    the temporary one. A directory at `path` is a ValueError naming it.
+    the temporary one. A directory at `path` fails first (check_writable).
     """
-    if os.path.isdir(path):
-        raise ValueError(f"cannot write {os.fspath(path)}: a directory is in the way")
+    check_writable(path)
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, mode) as f:

@@ -57,10 +57,6 @@ class PointCloud:
         object.__setattr__(self, "data", arr)
 
     @classmethod
-    def empty(cls) -> "PointCloud":
-        return cls(np.zeros((0, 4), dtype=np.float64))
-
-    @classmethod
     def from_xyz(cls, xyz: np.ndarray, intensity: np.ndarray | None = None) -> "PointCloud":
         xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
         if intensity is None:

@@ -134,7 +134,7 @@ def build_rulebook(coords: np.ndarray, spatial_shape, kernel, stride=1,
     return Rulebook(in_rows, out_rows, starts, out_coords, out_shape, kernel, len(coords))
 
 
-def sparse_conv_forward(features: Tensor, weight: Tensor, bias: Tensor | None,
+def sparse_conv_forward(features: Tensor, weight: Tensor, bias: Tensor,
                         rulebook: Rulebook) -> Tensor:
     """Gather-matmul-scatter convolution; differentiable in features/weight/bias."""
     n, c_in = features.data.shape
@@ -154,8 +154,7 @@ def sparse_conv_forward(features: Tensor, weight: Tensor, bias: Tensor | None,
     for t, s in spans:
         # out rows are unique within one tap, so fancy-index add is exact
         out[out_rows[s]] += gathered[s] @ w_taps[:, :, t].T
-    if bias is not None:
-        out += bias.data
+    out += bias.data
 
     def backward(g):
         # the input rows are gathered again rather than kept on the tape,
@@ -167,13 +166,9 @@ def sparse_conv_forward(features: Tensor, weight: Tensor, bias: Tensor | None,
         for t, s in spans:
             d_feat[in_rows[s]] += g_rows[s] @ w_taps[:, :, t]
             d_w[:, :, t] += g_rows[s].T @ gathered[s]
-        d_w = d_w.reshape(weight.data.shape)
-        if bias is None:
-            return d_feat, d_w
-        return d_feat, d_w, g.sum(axis=0)
+        return d_feat, d_w.reshape(weight.data.shape), g.sum(axis=0)
 
-    inputs = [features, weight] if bias is None else [features, weight, bias]
-    return _record(inputs, out, backward)
+    return _record([features, weight, bias], out, backward)
 
 
 def to_dense(coords: np.ndarray, features: Tensor, spatial_shape) -> Tensor:

@@ -128,7 +128,7 @@ def run_gradient_suite(seed: int = 0) -> dict[str, float]:
     c = rng.normal(size=(len(rb2.out_coords), 2))
     errs["sparse_conv"] = gradient_check(
         lambda f, w1, b1, w2: _scalarize(sparse_conv_forward(
-            sparse_conv_forward(f, w1, b1, rb1), w2, None, rb2), c),
+            sparse_conv_forward(f, w1, b1, rb1), w2, Tensor(np.zeros(2)), rb2), c),
         [feats, w1, b1, w2])
 
     labels = np.array([1, 0, 0, -1, 1, 0, 0, 1, -1, 0, 0, 1])
@@ -205,12 +205,11 @@ def run_sparse_oracle(n_cases: int = 200, seed: int = 0) -> float:
             stride = tuple(int(v) for v in rng.integers(1, 4, size=3))
             padding = tuple(int(rng.integers(0, k + 1)) for k in kernel)
         weight = rng.normal(size=(c_out, c_in, *kernel))
-        bias = rng.normal(size=c_out) if case % 3 else None
+        bias = rng.normal(size=c_out) if case % 3 else np.zeros(c_out)
         feats = rng.normal(size=(n_active, c_in))
         rb = build_rulebook(coords, shape, kernel, stride=stride, mode=mode,
                             padding=padding)
-        got = sparse_conv_forward(Tensor(feats), Tensor(weight),
-                                  Tensor(bias) if bias is not None else None, rb)
+        got = sparse_conv_forward(Tensor(feats), Tensor(weight), Tensor(bias), rb)
         dense = np.zeros((c_in, *shape))
         dense[:, coords[:, 0], coords[:, 1], coords[:, 2]] = feats.T
         want = dense_conv3d(dense, weight, bias, stride, padding)

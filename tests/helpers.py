@@ -10,6 +10,7 @@ import os
 import numpy as np
 
 from voxdet.config import RunConfig
+from voxdet.engine import Tensor
 from voxdet.network import NetworkConfig
 from voxdet.trainer import TrainConfig
 from voxdet.voxelizer import mini_grid
@@ -20,6 +21,11 @@ def mini_run_config() -> RunConfig:
     grid = mini_grid()
     return RunConfig(grid=grid, network=NetworkConfig(grid=grid),
                      train=TrainConfig(batch_size=2, epochs=10))
+
+
+def zero_bias(weight) -> Tensor:
+    """A zero bias for a (C_out, ...) convolution weight, array or Tensor."""
+    return Tensor(np.zeros(weight.shape[0]))
 
 
 def read_ppm(path: str | os.PathLike) -> np.ndarray:

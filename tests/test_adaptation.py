@@ -66,7 +66,7 @@ def test_foreground_mask_matches_brute_force_raster():
 
 def test_foreground_mask_downsample_must_divide():
     with pytest.raises(ValueError, match="divide"):
-        foreground_mask([], PointCloud.empty(), small_grid(), downsample=3)
+        foreground_mask([], PointCloud(np.zeros((0, 4))), small_grid(), downsample=3)
 
 
 def test_offset_length_map_fixtures():

@@ -121,6 +121,20 @@ def test_train_cfg_writes_per_epoch_checkpoints(pipeline):
     assert (out / "cfg_epoch0001.ckpt").read_bytes() != (out / "cfg.ckpt").read_bytes()
 
 
+def test_train_cfg_with_its_checkpoint_path_blocked_exits_4_before_training(pipeline, capsys):
+    base = pipeline["cfg"]
+    out = pipeline["root"] / "blocked"
+    (out / "cfg.ckpt").mkdir(parents=True)
+    cfg = replace(base, data=replace(base.data, out=str(out)),
+                  train=replace(base.train, epochs=2, checkpoint_every=1))
+    path = pipeline["root"] / "blocked.yaml"
+    path.write_text(dumps_config(cfg))
+    assert cli.main(["train-cfg", "--config", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert f"error: cannot write {out / 'cfg.ckpt'}: a directory is in the way" in err
+    assert os.listdir(out) == ["cfg.ckpt"]  # no epoch checkpoint: training never started
+
+
 def test_train_without_reference_checkpoint_is_missing(pipeline, capsys):
     cfg = replace(pipeline["cfg"],
                   data=replace(pipeline["cfg"].data,

@@ -132,7 +132,7 @@ def test_min_point_floor_excludes_sparse_candidates():
 
 def test_build_errors():
     with pytest.raises(ValueError, match="no labeled objects"):
-        build_instance_bank([(PointCloud.empty(), [])])
+        build_instance_bank([(PointCloud(np.zeros((0, 4))), [])])
     box = car_box(5, 0, 0.0)
     scenes = [(PointCloud(make_car(box, 30, 1)), [box])]
     for bad in ({"m_bins": 0}, {"m_bins": 1.5}, {"k_percent": 0.0},

@@ -29,6 +29,7 @@ from voxdet.engine import (
     tsum,
 )
 from voxdet.verify import gradient_check
+from helpers import zero_bias
 from oracles import (
     dense_conv2d,
     im2col_conv2d,
@@ -62,7 +63,7 @@ def test_conv2d_constant_field():
     # zero padding keeps the size: 9 taps inside, 6 on an edge, 4 in a corner
     x = Tensor(np.ones((1, 5, 5)))
     w = Tensor(np.ones((1, 1, 3, 3)))
-    out = conv2d(x, w)
+    out = conv2d(x, w, zero_bias(w))
     assert out.data.shape == (1, 5, 5)
     edge = np.array([2.0, 3.0, 3.0, 3.0, 2.0])
     np.testing.assert_array_equal(out.data[0], np.outer(edge, edge))
@@ -79,7 +80,7 @@ def test_conv2d_matches_loop_oracle():
 
 def test_conv2d_shape_mismatch():
     with pytest.raises(ValueError, match="channel mismatch"):
-        conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 5, 3, 3))))
+        conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 5, 3, 3))), Tensor(np.zeros(3)))
 
 
 @pytest.mark.parametrize("kernel", [(2, 2), (3, 4)])
@@ -87,10 +88,10 @@ def test_convolutions_reject_an_even_kernel(kernel):
     x = Tensor(np.zeros((1, 6, 6)))
     w = Tensor(np.zeros((1, 1, *kernel)))
     with pytest.raises(ValueError, match="kernel must be odd"):
-        conv2d(x, w)
+        conv2d(x, w, zero_bias(w))
     off = Tensor(np.zeros((2 * kernel[0] * kernel[1], 6, 6)))
     with pytest.raises(ValueError, match="kernel must be odd"):
-        deform_conv2d(x, w, off)
+        deform_conv2d(x, w, off, zero_bias(w))
 
 
 def test_deform_zero_offsets_equals_conv_exactly():
@@ -111,8 +112,8 @@ def test_deform_integer_shift_equals_shifted_conv():
     w = rand((2, 1, 3, 3), 8)
     off = np.zeros((18, 6, 6))
     off[1::2] = 1.0  # shift every tap one pixel in +x
-    got = deform_conv2d(Tensor(x), Tensor(w), Tensor(off))
-    want = conv2d(Tensor(x), Tensor(w))
+    got = deform_conv2d(Tensor(x), Tensor(w), Tensor(off), zero_bias(w))
+    want = conv2d(Tensor(x), Tensor(w), zero_bias(w))
     np.testing.assert_allclose(got.data[:, :, :-1], want.data[:, :, 1:], atol=1e-12)
 
 
@@ -131,7 +132,7 @@ def test_deform_fractional_offsets_per_tap_oracle():
                     total += x[c, yy, xx] * wy * wx
         return total
 
-    got = deform_conv2d(Tensor(x), Tensor(w), Tensor(off))
+    got = deform_conv2d(Tensor(x), Tensor(w), Tensor(off), zero_bias(w))
     for co in range(2):
         for oy in range(6):
             for ox in range(6):
@@ -147,9 +148,9 @@ def test_deform_offset_shape_errors():
     x = Tensor(np.zeros((1, 6, 6)))
     w = Tensor(np.zeros((1, 1, 3, 3)))
     with pytest.raises(ValueError, match="offset channels"):
-        deform_conv2d(x, w, Tensor(np.zeros((4, 4, 4))))
+        deform_conv2d(x, w, Tensor(np.zeros((4, 4, 4))), zero_bias(w))
     with pytest.raises(ValueError, match="spatial"):
-        deform_conv2d(x, w, Tensor(np.zeros((18, 5, 5))))
+        deform_conv2d(x, w, Tensor(np.zeros((18, 5, 5))), zero_bias(w))
 
 
 def test_bilinear_sample_basics():
@@ -167,8 +168,8 @@ def test_bilinear_sample_basics():
 def test_forward_determinism():
     x = Tensor(rand((3, 8, 8), 10))
     w = Tensor(rand((4, 3, 3, 3), 11))
-    a = conv2d(x, w).data.tobytes()
-    b = conv2d(x, w).data.tobytes()
+    a = conv2d(x, w, zero_bias(w)).data.tobytes()
+    b = conv2d(x, w, zero_bias(w)).data.tobytes()
     assert a == b
 
 
@@ -289,10 +290,9 @@ def test_transpose_forward_and_gradient():
 
 
 def test_grad_smooth_l1():
-    # mix of values inside and outside the quadratic zone, away from |x|=beta
+    # mix of values inside and outside the quadratic zone, away from |x|=1
     x = Tensor(np.array([-2.3, -0.4, 0.2, 0.7, 1.9]), requires_grad=True)
     _gc(lambda x: tsum(smooth_l1(x)), [x])
-    _gc(lambda x: tsum(smooth_l1(x, beta=0.5)), [x])
 
 
 def test_grad_conv2d():
@@ -335,7 +335,7 @@ def test_deform_input_grad_matches_loop_oracle_bit_for_bit(seed):
     x, w, g, off = _deform_case(seed, k=k)
     xt = Tensor(x, requires_grad=True)
     with Tape() as tape:
-        out = deform_conv2d(xt, Tensor(w), Tensor(off))
+        out = deform_conv2d(xt, Tensor(w), Tensor(off), zero_bias(w))
         tape.backward(out, seed=g)
     c_in = x.shape[0]
     d_sampled = (w.reshape(w.shape[0], -1).T @ g.reshape(g.shape[0], -1)).reshape(
@@ -358,7 +358,7 @@ def test_deform_samples_match_loop_oracle_bit_for_bit(seed):
     x, _, _, off, k = _deform_order_case(seed)
     rows = x.shape[0] * k * k
     eye = Tensor(np.eye(rows).reshape(rows, x.shape[0], k, k))
-    out = deform_conv2d(Tensor(x), eye, Tensor(off))
+    out = deform_conv2d(Tensor(x), eye, Tensor(off), zero_bias(eye))
     want = loop_deform_samples(x, off, stride=1, padding=k // 2)
     assert np.array_equal(out.data, want.reshape(out.data.shape))
 
@@ -368,7 +368,7 @@ def test_deform_offset_grad_matches_loop_oracle_bit_for_bit(seed):
     x, w, g, off, k = _deform_order_case(seed)
     ot = Tensor(off, requires_grad=True)
     with Tape() as tape:
-        out = deform_conv2d(Tensor(x), Tensor(w), ot)
+        out = deform_conv2d(Tensor(x), Tensor(w), ot, zero_bias(w))
         tape.backward(out, seed=g)
     d_sampled = (w.reshape(w.shape[0], -1).T @ g.reshape(g.shape[0], -1)).reshape(
         x.shape[0], k * k, *g.shape[1:])
@@ -385,11 +385,11 @@ def test_deform_offset_grad_at_integer_positions_is_the_right_difference():
     off[8:10, -1, :] = 0.0  # tap (1, 1) of the bottom row reads the last row: far corner off
 
     def loss(o):
-        return float((deform_conv2d(Tensor(x), Tensor(w), Tensor(o)).data * g).sum())
+        return float((deform_conv2d(Tensor(x), Tensor(w), Tensor(o), zero_bias(w)).data * g).sum())
 
     ot = Tensor(off.copy(), requires_grad=True)
     with Tape() as tape:
-        tape.backward(deform_conv2d(Tensor(x), Tensor(w), ot), seed=g)
+        tape.backward(deform_conv2d(Tensor(x), Tensor(w), ot, zero_bias(w)), seed=g)
     eps = 1e-6
     base = loss(off)
     right = np.zeros_like(off)
@@ -405,12 +405,11 @@ def _taped_conv(op, x, weight, *rest, bias, g):
     """Run op on a tape and backpropagate g; returns the output and the
     gradients of x, weight, the rest and the bias, in the order
     im2col_conv2d and loop_deform_conv2d return them."""
-    ts = [Tensor(a, requires_grad=True) for a in (x, weight, *rest)]
-    bt = None if bias is None else Tensor(bias, requires_grad=True)
+    ts = [Tensor(a, requires_grad=True) for a in (x, weight, *rest, bias)]
     with Tape() as tape:
-        out = op(*ts, bt)
+        out = op(*ts)
         tape.backward(out, seed=g)
-    return out.data, *(t.grad for t in ts), None if bt is None else bt.grad
+    return out.data, *(t.grad for t in ts)
 
 
 def _same_bytes(got, want):
@@ -429,7 +428,7 @@ def test_conv2d_matches_stored_patch_oracle_bit_for_bit(c_in, c_out, h, w, k, st
     # keep their operands and layouts, so no byte may move
     rng = np.random.default_rng([c_in, h, k, stride, padding])
     x, weight = rng.uniform(-1, 1, (c_in, h, w)), rng.uniform(-1, 1, (c_out, c_in, k, k))
-    bias = rng.uniform(-1, 1, c_out) if (k + stride + padding) % 2 else None
+    bias = rng.uniform(-1, 1, c_out) if (k + stride + padding) % 2 else np.zeros(c_out)
     g = rng.uniform(-1, 1, (c_out, h, w))
     got = _taped_conv(conv2d, x, weight, bias=bias, g=g)
     _same_bytes(got, im2col_conv2d(x, weight, bias, stride, padding, g))
@@ -438,7 +437,7 @@ def test_conv2d_matches_stored_patch_oracle_bit_for_bit(c_in, c_out, h, w, k, st
 @pytest.mark.parametrize("seed", range(2))
 def test_deform_conv2d_matches_loop_formula_bit_for_bit(seed):
     x, w, g, off, k = _deform_order_case(seed)
-    bias = np.random.default_rng(seed).uniform(-1, 1, w.shape[0]) if seed else None
+    bias = np.random.default_rng(seed).uniform(-1, 1, w.shape[0]) if seed else np.zeros(w.shape[0])
     got = _taped_conv(deform_conv2d, x, w, off, bias=bias, g=g)
     _same_bytes(got, loop_deform_conv2d(x, w, off, bias, 1, k // 2, g))
 
@@ -507,11 +506,12 @@ def _traced_conv_memory(op, c, size, k, with_offsets):
     extra = [Tensor(rng.uniform(-2, 2, (2 * k * k, size, size)), requires_grad=True)
              ] if with_offsets else []
     g = rng.uniform(-1, 1, (c, size, size))
+    bias = zero_bias(w)
     tracemalloc.start()
     try:
         with Tape() as tape:
             before = tracemalloc.get_traced_memory()[0]
-            out = op(x, w, *extra)
+            out = op(x, w, *extra, bias)
             kept, fwd_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             tape.backward(out, seed=g)
@@ -551,8 +551,8 @@ def test_tape_backward_runs_once_and_releases_each_closure():
     off = Tensor(rand((18, 6, 6), 73), requires_grad=True)
     unused = Tensor(rand((2,), 74), requires_grad=True)
     with Tape() as tape:
-        feat = relu(conv2d(x, w))
-        loss = tsum(deform_conv2d(feat, w, off))
+        feat = relu(conv2d(x, w, zero_bias(w)))
+        loss = tsum(deform_conv2d(feat, w, off, zero_bias(w)))
         mul(unused, unused)  # recorded, but off the loss's path
         tape.backward(loss)
     assert len(tape.records) == 5
@@ -562,6 +562,21 @@ def test_tape_backward_runs_once_and_releases_each_closure():
         tape.backward(loss)
     for t, want in zip((x, w, off), grads):
         assert np.array_equal(t.grad, want)  # the refused call added nothing
+
+
+def test_one_tape_records_at_a_time():
+    x = Tensor(np.array([1.5, -2.0]), requires_grad=True)
+    with Tape() as outer:
+        y = mul(x, x)
+        with pytest.raises(RuntimeError, match="already recording"):
+            with Tape():
+                pass
+        assert eng.active_tape() is outer
+        loss = tsum(y)
+        outer.backward(loss)
+    assert eng.active_tape() is None
+    assert len(outer.records) == 2
+    np.testing.assert_array_equal(x.grad, 2.0 * x.data)
 
 
 def test_tape_backward_holds_each_leaf_gradient_once():
@@ -594,9 +609,10 @@ def test_grad_matches_independent_numeric_oracle():
     w0 = rand((2, 2, 3, 3), 37)
     x = Tensor(x0.copy(), requires_grad=True)
     with Tape() as tape:
-        out = tsum(conv2d(x, Tensor(w0)))
+        out = tsum(conv2d(x, Tensor(w0), zero_bias(w0)))
         tape.backward(out)
-    want = numeric_gradient(lambda a: float(conv2d(Tensor(a), Tensor(w0)).data.sum()), x0.copy())
+    want = numeric_gradient(lambda a: float(conv2d(Tensor(a), Tensor(w0), zero_bias(w0)).data.sum()),
+                            x0.copy())
     np.testing.assert_allclose(x.grad, want, atol=1e-6)
 
 
@@ -609,7 +625,7 @@ def test_grad_conv2d_randomized_shapes(c, h, w, co, k, seed):
     rng = np.random.default_rng(seed)
     x = Tensor(rng.uniform(-1, 1, (c, h, w)), requires_grad=True)
     wt = Tensor(rng.uniform(-1, 1, (co, c, k, k)), requires_grad=True)
-    err = gradient_check(lambda x, wt: tsum(conv2d(x, wt)), [x, wt])
+    err = gradient_check(lambda x, wt: tsum(conv2d(x, wt, zero_bias(wt))), [x, wt])
     assert err < 1e-5
 
 

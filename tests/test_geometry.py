@@ -379,7 +379,7 @@ def test_acpd_directed_not_symmetric():
 
 
 def test_acpd_empty_raises():
-    a = PointCloud.empty()
+    a = PointCloud(np.zeros((0, 4)))
     b = PointCloud.from_xyz(np.array([[0.0, 0, 0]]))
     with pytest.raises(ValueError):
         avg_closest_point_distance(a, b)

@@ -134,7 +134,7 @@ def test_nonzero_offsets_change_the_live_branch():
 def test_empty_cloud_gives_bias_only_response():
     cfg = mini_config()
     params = init_params(cfg, seed=4)
-    out = pfe_forward(PointCloud.empty(), params, cfg)
+    out = pfe_forward(PointCloud(np.zeros((0, 4))), params, cfg)
 
     # oracle: feed an explicitly all-zero BEV map through the same layers
     bev = Tensor(np.zeros((cfg.bev_channels, 8, 8)))

@@ -12,6 +12,7 @@ from voxdet.sparse_conv import (
     to_dense,
 )
 from voxdet.verify import gradient_check
+from helpers import zero_bias
 from oracles import brute_rulebook, dense_conv3d, per_tap_sparse_conv
 
 
@@ -183,7 +184,7 @@ def test_identity_center_tap():
     w = np.zeros((4, 4, 3, 3, 3))
     for c in range(4):
         w[c, c, 1, 1, 1] = 1.0
-    out = sparse_conv_forward(Tensor(feats), Tensor(w), None, rb)
+    out = sparse_conv_forward(Tensor(feats), Tensor(w), zero_bias(w), rb)
     np.testing.assert_array_equal(out.data, feats)
     np.testing.assert_array_equal(rb.out_coords, coords)
 
@@ -238,13 +239,14 @@ def test_z_collapse_configuration():
     rb = build_rulebook(coords, shape, (1, 1, 3), stride=(1, 1, 2), padding=(0, 0, 0), mode=STRIDED)
     assert rb.out_spatial_shape == (4, 4, 2)
     w = rng.uniform(-1, 1, (3, 2, 1, 1, 3))
-    out = sparse_conv_forward(Tensor(feats), Tensor(w), None, rb)
+    out = sparse_conv_forward(Tensor(feats), Tensor(w), zero_bias(w), rb)
     dense = dense_conv3d(densify(coords, feats, shape), w, None, (1, 1, 2), (0, 0, 0))
     for coord, f in zip(rb.out_coords, out.data):
         np.testing.assert_allclose(f, dense[:, coord[0], coord[1], coord[2]], atol=1e-12)
 
 
-# (mode, spatial shape, active sites, kernel, stride, padding, c_in, c_out, bias)
+# (mode, spatial shape, active sites, kernel, stride, padding, c_in, c_out,
+# random bias; else a zero one)
 PER_TAP_CASES = {
     "sub_3x3x3": (SUBMANIFOLD, (6, 5, 4), 40, 3, 1, None, 5, 4, True),
     "sub_sparse_empty_taps": (SUBMANIFOLD, (9, 9, 6), 6, 3, 1, None, 3, 2, True),
@@ -272,18 +274,17 @@ def test_forward_and_backward_match_per_tap_oracle_bit_for_bit(case):
     kx, ky, kz = rb.kernel
     feat = Tensor(rng.uniform(-1, 1, (n, c_in)), requires_grad=True)
     w = Tensor(rng.uniform(-1, 1, (c_out, c_in, kx, ky, kz)), requires_grad=True)
-    b = Tensor(rng.uniform(-1, 1, c_out), requires_grad=True) if with_bias else None
+    b = Tensor(rng.uniform(-1, 1, c_out) if with_bias else np.zeros(c_out), requires_grad=True)
     g = rng.uniform(-1, 1, (len(rb.out_coords), c_out))
     with Tape() as tape:
         out = sparse_conv_forward(feat, w, b, rb)
         tape.backward(out, seed=g)
     want_out, want_feat, want_w, want_b = per_tap_sparse_conv(
-        feat.data, w.data, None if b is None else b.data, taps, len(rb.out_coords), g)
+        feat.data, w.data, b.data, taps, len(rb.out_coords), g)
     assert np.array_equal(out.data, want_out)
     assert np.array_equal(feat.grad, want_feat)
     assert np.array_equal(w.grad, want_w)
-    if with_bias:
-        assert np.array_equal(b.grad, want_b)
+    assert np.array_equal(b.grad, want_b)
 
 
 def test_linearity_without_bias():
@@ -295,9 +296,9 @@ def test_linearity_without_bias():
     rb = build_rulebook(coords, shape, 3)
     w = Tensor(rng.uniform(-1, 1, (2, 3, 3, 3, 3)))
     a, b = 2.5, -1.25
-    out_combo = sparse_conv_forward(Tensor(a * fx + b * fy), w, None, rb)
-    out_x = sparse_conv_forward(Tensor(fx), w, None, rb)
-    out_y = sparse_conv_forward(Tensor(fy), w, None, rb)
+    out_combo = sparse_conv_forward(Tensor(a * fx + b * fy), w, zero_bias(w), rb)
+    out_x = sparse_conv_forward(Tensor(fx), w, zero_bias(w), rb)
+    out_y = sparse_conv_forward(Tensor(fy), w, zero_bias(w), rb)
     np.testing.assert_allclose(out_combo.data, a * out_x.data + b * out_y.data, atol=1e-12)
 
 
@@ -315,11 +316,14 @@ def test_forward_errors():
     coords = np.array([[1, 1, 1]])
     rb = build_rulebook(coords, (4, 4, 4), 3)
     with pytest.raises(ValueError, match="channel mismatch"):
-        sparse_conv_forward(Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 4, 3, 3, 3))), None, rb)
+        sparse_conv_forward(Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 4, 3, 3, 3))),
+                            Tensor(np.zeros(2)), rb)
     with pytest.raises(ValueError, match="kernel"):
-        sparse_conv_forward(Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 3, 1, 1, 1))), None, rb)
+        sparse_conv_forward(Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 3, 1, 1, 1))),
+                            Tensor(np.zeros(2)), rb)
     with pytest.raises(ValueError, match="rulebook built for"):
-        sparse_conv_forward(Tensor(np.zeros((5, 3))), Tensor(np.zeros((2, 3, 3, 3, 3))), None, rb)
+        sparse_conv_forward(Tensor(np.zeros((5, 3))), Tensor(np.zeros((2, 3, 3, 3, 3))),
+                            Tensor(np.zeros(2)), rb)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +336,7 @@ def test_single_pair_chain_rule():
     feat = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
     w = Tensor(np.arange(6.0).reshape(3, 2, 1, 1, 1), requires_grad=True)
     with Tape() as tape:
-        out = sparse_conv_forward(feat, w, None, rb)
+        out = sparse_conv_forward(feat, w, zero_bias(w), rb)
         g = np.array([[1.0, -2.0, 0.5]])
         tape.backward(out, seed=g)
     np.testing.assert_allclose(feat.grad, g @ w.data.reshape(3, 2))
@@ -347,7 +351,7 @@ def test_zero_grad_out_gives_zero_grads():
     w = Tensor(rng.uniform(-1, 1, (2, 2, 3, 3, 3)), requires_grad=True)
     rb = build_rulebook(coords, shape, 3)
     with Tape() as tape:
-        out = sparse_conv_forward(feat, w, None, rb)
+        out = sparse_conv_forward(feat, w, zero_bias(w), rb)
         tape.backward(out, seed=np.zeros_like(out.data))
     assert not feat.grad.any()
     assert not w.grad.any()

@@ -109,6 +109,7 @@ def test_range_boundaries_half_open():
 
 def test_empty_cloud_and_all_out_of_range():
     grid = small_grid()
-    for cloud in (PointCloud.empty(), PointCloud.from_xyz(np.array([[100.0, 100.0, 100.0]]))):
+    far = PointCloud.from_xyz(np.array([[100.0, 100.0, 100.0]]))
+    for cloud in (PointCloud(np.zeros((0, 4))), far):
         coords, feats = voxelize(cloud, grid)
         assert coords.shape == feats.shape == (0, 3)
