@@ -39,7 +39,7 @@ from .kitti_io import list_scene_dirs, read_scene_dir, write_scene_dir
 from .network import SPATIAL_DOWNSAMPLE
 from .render import render_scene, write_ppm
 from .synthetic import SceneRecipe, make_dataset
-from .trainer import ScenePair, format_loss_log, train_associate, train_cfg
+from .trainer import ScenePair, epoch_checkpoints, format_loss_log, train_associate, train_cfg
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -124,7 +124,8 @@ def _cmd_build_conceptual(args) -> int:
 def _cmd_train_cfg(args) -> int:
     cfg = _resolve_config(args)
     scenes = [(c, b) for _, c, b in _load_dataset(cfg.data.conceptual)]
-    ckpt_path, log_path = _outputs(cfg.data.out, "cfg.ckpt", "cfg_log.txt")
+    ckpt_path, log_path, *_ = _outputs(cfg.data.out, "cfg.ckpt", "cfg_log.txt",
+                                       *epoch_checkpoints("cfg", cfg.train).values())
     params, log = train_cfg(scenes, cfg.network, cfg.train, checkpoint_dir=cfg.data.out,
                             anchors=cfg.anchors)
     engine.save_checkpoint(ckpt_path, params)
@@ -153,7 +154,8 @@ def _cmd_train(args) -> int:
     ckpt = args.cfg_checkpoint or os.path.join(cfg.data.out, "cfg.ckpt")
     cfg_params = {k: Tensor(v) for k, v in _load_checkpoint(ckpt, "reference checkpoint").items()}
     pairs = _load_pairs(cfg)
-    ckpt_path, log_path = _outputs(cfg.data.out, "pfe.ckpt", "train_log.txt")
+    ckpt_path, log_path, *_ = _outputs(cfg.data.out, "pfe.ckpt", "train_log.txt",
+                                       *epoch_checkpoints("pfe", cfg.train).values())
     params, log = train_associate(pairs, cfg_params, cfg.network, cfg.train,
                                   checkpoint_dir=cfg.data.out, anchors=cfg.anchors)
     engine.save_checkpoint(ckpt_path, params)

@@ -60,17 +60,14 @@ class EvalConfig:
 class RunConfig:
     data: DataPaths = field(default_factory=DataPaths)
     grid: GridConfig = field(default_factory=default_grid)
-    network: NetworkConfig | None = None  # filled from grid in __post_init__
+    network: NetworkConfig = field(init=False)  # the detector on `grid`
     conceptual: ConceptualConfig = field(default_factory=ConceptualConfig)
     anchors: AnchorConfig = field(default_factory=AnchorConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
 
     def __post_init__(self):
-        if self.network is None:
-            object.__setattr__(self, "network", NetworkConfig(grid=self.grid))
-        if self.network.grid != self.grid:
-            raise ValueError("network.grid must equal the top-level grid")
+        object.__setattr__(self, "network", NetworkConfig(grid=self.grid))
 
 
 def default_run_config() -> RunConfig:
@@ -80,23 +77,17 @@ def default_run_config() -> RunConfig:
 _SECTIONS = {
     "data": DataPaths,
     "grid": GridConfig,
-    "network": NetworkConfig,
     "conceptual": ConceptualConfig,
     "anchors": AnchorConfig,
     "train": TrainConfig,
     "eval": EvalConfig,
 }
-_TUPLE_KEYS = {"range_min", "range_max", "voxel_size", "stage_channels", "dims"}
-
-
-def _section_fields(name: str) -> list:
-    """The fields a section reads and writes; network.grid is the top-level grid."""
-    return [f for f in fields(_SECTIONS[name]) if (name, f.name) != ("network", "grid")]
+_TUPLE_KEYS = {"range_min", "range_max", "voxel_size", "dims"}
 
 
 def _section_dict(cfg: RunConfig, name: str) -> dict:
     out = {}
-    for f in _section_fields(name):
+    for f in fields(_SECTIONS[name]):
         value = getattr(getattr(cfg, name), f.name)
         out[f.name] = list(value) if f.name in _TUPLE_KEYS else value
     return out
@@ -107,7 +98,7 @@ def to_dict(cfg: RunConfig) -> dict:
 
 
 def _build_section(name: str, raw: dict) -> object:
-    known = {f.name: f for f in _section_fields(name)}
+    known = {f.name: f for f in fields(_SECTIONS[name])}
     for key in raw:
         if key not in known:
             raise ValueError(f"unknown key '{key}' in section '{name}'")
@@ -119,7 +110,7 @@ def _build_section(name: str, raw: dict) -> object:
         if key in _TUPLE_KEYS and not isinstance(raw[key], (list, tuple)):
             raise ValueError(f"{name}.{key} must be a list of values, got {raw[key]!r}")
     kwargs = {k: tuple(v) if k in _TUPLE_KEYS else v for k, v in raw.items()}
-    return kwargs if name == "network" else _SECTIONS[name](**kwargs)
+    return _SECTIONS[name](**kwargs)
 
 
 def from_dict(d: dict) -> RunConfig:
@@ -130,12 +121,7 @@ def from_dict(d: dict) -> RunConfig:
             raise ValueError(f"unknown config section '{key}'")
         if not isinstance(d[key], dict):
             raise ValueError(f"section '{key}' must be a mapping")
-    grid = _build_section("grid", d["grid"]) if "grid" in d else default_grid()
-    net_kwargs = _build_section("network", d.get("network", {}))
-    parts = {name: _build_section(name, d[name]) for name in _SECTIONS
-             if name in d and name not in ("grid", "network")}
-    return RunConfig(grid=grid,
-                     network=NetworkConfig(grid=grid, **net_kwargs), **parts)
+    return RunConfig(**{name: _build_section(name, d[name]) for name in _SECTIONS if name in d})
 
 
 def dumps_config(cfg: RunConfig) -> str:

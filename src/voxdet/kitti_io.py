@@ -29,7 +29,10 @@ def read_point_cloud(path: str | os.PathLike) -> PointCloud:
             f"{path}: truncated record, {len(raw)} bytes is not a multiple of {POINT_RECORD_BYTES}"
         )
     pts = np.frombuffer(raw, dtype="<f4").reshape(-1, 4)
-    return PointCloud(pts.astype(np.float64))
+    try:  # a NaN or inf coordinate, which PointCloud rejects
+        return PointCloud(pts.astype(np.float64))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_point_cloud(path: str | os.PathLike, cloud: PointCloud) -> None:

@@ -17,9 +17,14 @@ from .detection_head import ANCHOR_YAWS
 from .engine import Tensor
 from .geometry import PointCloud
 from .sparse_conv import STRIDED, SUBMANIFOLD, build_rulebook, sparse_conv_forward, to_dense
-from .voxelizer import GridConfig, mini_grid, require_int, voxelize
+from .voxelizer import GridConfig, mini_grid, voxelize
 
 SPATIAL_DOWNSAMPLE = 8  # three stride-2 stages
+EMBED_CHANNELS = 128  # per-voxel linear embed width
+STAGE_CHANNELS = (16, 32, 64, 128)  # output width of the four sparse stages
+DEFORM_KERNEL = 5  # adaptation layer kernel, deformable and rigid alike
+ADAPT_CHANNELS = 128
+HEAD_CHANNELS = 128
 
 
 def _collapse_kernel(z_in: int) -> tuple[int, int]:
@@ -32,25 +37,12 @@ def _collapse_kernel(z_in: int) -> tuple[int, int]:
 @dataclass(frozen=True)
 class NetworkConfig:
     grid: GridConfig = field(default_factory=mini_grid)
-    embed_channels: int = 128
-    stage_channels: tuple[int, int, int, int] = (16, 32, 64, 128)
-    deform_kernel: int = 5
-    adapt_channels: int = 128
-    head_channels: int = 128
 
     def __post_init__(self):
         nx, ny, nz = self.grid.spatial_shape
         if nx % SPATIAL_DOWNSAMPLE or ny % SPATIAL_DOWNSAMPLE:
             raise ValueError(
                 f"grid BEV dims {nx}x{ny} must be divisible by {SPATIAL_DOWNSAMPLE}")
-        if len(self.stage_channels) != 4:
-            raise ValueError("stage_channels must list four stages")
-        for i, channels in enumerate(self.stage_channels):
-            require_int(f"stage_channels[{i}]", channels, 1)
-        for name in ("embed_channels", "deform_kernel", "adapt_channels", "head_channels"):
-            require_int(name, getattr(self, name), 1)
-        if self.deform_kernel % 2 == 0:
-            raise ValueError("deform_kernel must be odd")
 
     @property
     def bev_shape(self) -> tuple[int, int]:
@@ -69,11 +61,7 @@ class NetworkConfig:
 
     @property
     def bev_channels(self) -> int:
-        return self.stage_channels[-1] * self.height_out
-
-    @property
-    def num_offset_channels(self) -> int:
-        return 2 * self.deform_kernel * self.deform_kernel
+        return STAGE_CHANNELS[-1] * self.height_out
 
 
 @dataclass
@@ -82,25 +70,25 @@ class ForwardOutput:
 
     cls_map: Tensor       # (len(ANCHOR_YAWS), H, W) logits
     reg_map: Tensor       # (len(ANCHOR_YAWS)*7, H, W) deltas
-    adapt_feature: Tensor  # (adapt_channels, H, W), post-ReLU
+    adapt_feature: Tensor  # (ADAPT_CHANNELS, H, W), post-ReLU
     offsets: Tensor | None  # (2*k*k, H, W); None on the reference branch
 
 
 def parameter_shapes(config: NetworkConfig, with_offsets: bool = True) -> dict:
     """Canonical name -> shape registry; the reference branch omits offsets."""
     shapes: dict[str, tuple[int, ...]] = {
-        "embed.weight": (config.embed_channels, 3),
-        "embed.bias": (config.embed_channels,),
+        "embed.weight": (EMBED_CHANNELS, 3),
+        "embed.bias": (EMBED_CHANNELS,),
     }
     z = config.grid.spatial_shape[2]
-    c_in = config.embed_channels
-    for i, c_out in enumerate(config.stage_channels):
+    c_in = EMBED_CHANNELS
+    for i, c_out in enumerate(STAGE_CHANNELS):
         shapes[f"backbone.s{i}.sub0.weight"] = (c_out, c_in, 3, 3, 3)
         shapes[f"backbone.s{i}.sub0.bias"] = (c_out,)
         shapes[f"backbone.s{i}.sub1.weight"] = (c_out, c_out, 3, 3, 3)
         shapes[f"backbone.s{i}.sub1.bias"] = (c_out,)
         if i < 3:
-            c_next = config.stage_channels[i + 1]
+            c_next = STAGE_CHANNELS[i + 1]
             shapes[f"backbone.s{i}.down.weight"] = (c_next, c_out, 3, 3, 3)
             z = (z - 1) // 2 + 1
         else:
@@ -110,18 +98,18 @@ def parameter_shapes(config: NetworkConfig, with_offsets: bool = True) -> dict:
         shapes[f"backbone.s{i}.down.bias"] = (c_next,)
         c_in = c_next
 
-    k = config.deform_kernel
-    shapes["adapt.weight"] = (config.adapt_channels, config.bev_channels, k, k)
-    shapes["adapt.bias"] = (config.adapt_channels,)
+    k = DEFORM_KERNEL
+    shapes["adapt.weight"] = (ADAPT_CHANNELS, config.bev_channels, k, k)
+    shapes["adapt.bias"] = (ADAPT_CHANNELS,)
     if with_offsets:
-        shapes["offsets.weight"] = (config.num_offset_channels, config.bev_channels, k, k)
-        shapes["offsets.bias"] = (config.num_offset_channels,)
-    shapes["head.stem.weight"] = (config.head_channels, config.adapt_channels, 3, 3)
-    shapes["head.stem.bias"] = (config.head_channels,)
+        shapes["offsets.weight"] = (2 * k * k, config.bev_channels, k, k)
+        shapes["offsets.bias"] = (2 * k * k,)
+    shapes["head.stem.weight"] = (HEAD_CHANNELS, ADAPT_CHANNELS, 3, 3)
+    shapes["head.stem.bias"] = (HEAD_CHANNELS,)
     n_yaw = len(ANCHOR_YAWS)
-    shapes["head.cls.weight"] = (n_yaw, config.head_channels, 1, 1)
+    shapes["head.cls.weight"] = (n_yaw, HEAD_CHANNELS, 1, 1)
     shapes["head.cls.bias"] = (n_yaw,)
-    shapes["head.reg.weight"] = (n_yaw * 7, config.head_channels, 1, 1)
+    shapes["head.reg.weight"] = (n_yaw * 7, HEAD_CHANNELS, 1, 1)
     shapes["head.reg.bias"] = (n_yaw * 7,)
     return shapes
 

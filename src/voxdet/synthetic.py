@@ -24,6 +24,9 @@ CAR_Z = -1.0
 GROUND_Z = CAR_Z - CAR_DIMS[2] / 2.0
 REFERENCE_RANGE = 10.0
 MIN_CAR_POINTS = 12
+GROUND_POINTS = 256
+X_RANGE = (4.0, 28.0)  # where car centres and ground points fall
+Y_RANGE = (-12.0, 12.0)
 
 
 @dataclass(frozen=True)
@@ -32,10 +35,7 @@ class SceneRecipe:
 
     n_cars: int = 4
     base_points: int = 320
-    ground_points: int = 256
     occlusion: float = 1.0  # probability a shadowed point is dropped
-    x_range: tuple[float, float] = (4.0, 28.0)
-    y_range: tuple[float, float] = (-12.0, 12.0)
 
     def __post_init__(self):
         if self.n_cars < 0 or self.base_points < 1:
@@ -144,7 +144,7 @@ def _place_cars(recipe: SceneRecipe, rng: np.random.Generator) -> list[Box3D]:
         l, w, h = CAR_DIMS
         scale = rng.uniform(0.95, 1.05)
         cand = Box3D(
-            rng.uniform(*recipe.x_range), rng.uniform(*recipe.y_range), CAR_Z,
+            rng.uniform(*X_RANGE), rng.uniform(*Y_RANGE), CAR_Z,
             l * scale, w * scale, h * scale, rng.uniform(-math.pi, math.pi))
         placed = np.array([b.as_array() for b in boxes]).reshape(-1, 7)
         if not rotated_iou_bev_many(cand.as_array(), placed).any():
@@ -166,9 +166,9 @@ def synth_scene(recipe: SceneRecipe, seed_key: list[int]) -> tuple[PointCloud, l
               for b in boxes]
     shells = apply_shadows(shells, boxes, recipe.occlusion, rng)
     ground = np.column_stack([
-        rng.uniform(*recipe.x_range, recipe.ground_points),
-        rng.uniform(*recipe.y_range, recipe.ground_points),
-        np.full(recipe.ground_points, GROUND_Z) + rng.uniform(0, 0.04, recipe.ground_points),
+        rng.uniform(*X_RANGE, GROUND_POINTS),
+        rng.uniform(*Y_RANGE, GROUND_POINTS),
+        np.full(GROUND_POINTS, GROUND_Z) + rng.uniform(0, 0.04, GROUND_POINTS),
     ])
     xyz = np.vstack([ground] + shells) if shells else ground
     intensity = rng.uniform(0.0, 1.0, len(xyz))

@@ -69,7 +69,7 @@ class TrainConfig:
     sigma: float = 0.5
     seed: int = 0
     augment: bool = True
-    clip_norm: float | None = 10.0
+    clip_norm: float = 10.0
     count_mode: str = COUNT_FOREGROUND
     codec: str = CONVENTION_PRINTED
     checkpoint_every: int = 0
@@ -78,8 +78,7 @@ class TrainConfig:
         for name, minimum in (("batch_size", 1), ("epochs", 1), ("seed", 0),
                               ("checkpoint_every", 0)):
             require_int(name, getattr(self, name), minimum)
-        clip = () if self.clip_norm is None else ("clip_norm",)  # None turns clipping off
-        for name in ("base_lr", "sigma", *clip):
+        for name in ("base_lr", "sigma", "clip_norm"):
             require_float(name, getattr(self, name))
         if not isinstance(self.augment, bool):
             raise ValueError(f"augment must be true or false, got {self.augment!r}")
@@ -87,8 +86,8 @@ class TrainConfig:
             raise ValueError("base_lr must be positive")
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive or None")
+        if self.clip_norm <= 0:
+            raise ValueError("clip_norm must be positive")
         if self.count_mode not in (COUNT_FOREGROUND, COUNT_NONZERO):
             raise ValueError(f"count_mode must be '{COUNT_FOREGROUND}' or '{COUNT_NONZERO}'")
         if self.codec not in (CONVENTION_PRINTED, CONVENTION_LINEAGE):
@@ -271,11 +270,11 @@ def _batches(order: np.ndarray, size: int):
         yield order[start:start + size]
 
 
-def _maybe_checkpoint(params, directory, prefix, epoch, every):
-    if directory is None or not every or epoch % every:
-        return
-    engine.make_dir(directory)
-    save_checkpoint(os.path.join(directory, f"{prefix}_epoch{epoch:04d}.ckpt"), params)
+def epoch_checkpoints(prefix: str, train_config: TrainConfig) -> dict[int, str]:
+    """Epoch -> name of each per-epoch checkpoint a run saves (`checkpoint_every`)."""
+    every = train_config.checkpoint_every
+    return {epoch: f"{prefix}_epoch{epoch:04d}.ckpt"
+            for epoch in range(1, train_config.epochs + 1) if every and epoch % every == 0}
 
 
 def _backpropagate(staged, sample_loss, sums: np.ndarray, epoch: int, step: int) -> None:
@@ -313,6 +312,7 @@ def _fit(samples, params: dict[str, Tensor], train_config: TrainConfig,
     batches_per_epoch = math.ceil(len(samples) / train_config.batch_size)
     total_steps = train_config.epochs * batches_per_epoch
 
+    checkpoints = epoch_checkpoints(prefix, train_config)
     log: list[EpochStats] = []
     step = 0
     for epoch in range(1, train_config.epochs + 1):
@@ -322,14 +322,14 @@ def _fit(samples, params: dict[str, Tensor], train_config: TrainConfig,
             lr = cosine_lr(step, total_steps, train_config.base_lr)
             _backpropagate([prepare(samples[idx], epoch, int(idx)) for idx in batch],
                            sample_loss, sums, epoch, step)
-            if train_config.clip_norm is not None:
-                clip_gradients(params, train_config.clip_norm)
+            clip_gradients(params, train_config.clip_norm)
             opt.step(lr)
             opt.zero_grad()
             step += 1
         log.append(EpochStats(epoch, *(sums / len(samples))))
-        _maybe_checkpoint(params, checkpoint_dir, prefix, epoch,
-                          train_config.checkpoint_every)
+        if checkpoint_dir is not None and epoch in checkpoints:
+            engine.make_dir(checkpoint_dir)
+            save_checkpoint(os.path.join(checkpoint_dir, checkpoints[epoch]), params)
     return log
 
 

@@ -14,6 +14,8 @@ import numpy as np
 
 from .geometry import PointCloud
 
+MAX_POINTS_PER_VOXEL = 5  # points averaged into a voxel's feature, first in cloud order
+
 
 def require_int(name: str, value, minimum: int) -> None:
     """Reject a config value that is not an integer (bools included) or is below `minimum`."""
@@ -34,7 +36,6 @@ class GridConfig:
     range_min: tuple[float, float, float]
     range_max: tuple[float, float, float]
     voxel_size: tuple[float, float, float]
-    max_points_per_voxel: int = 5
 
     def __post_init__(self) -> None:
         for name in ("range_min", "range_max", "voxel_size"):
@@ -44,7 +45,6 @@ class GridConfig:
             for i, v in enumerate(values):
                 require_float(f"{name}[{i}]", v)
             object.__setattr__(self, name, tuple(float(v) for v in values))
-        require_int("max_points_per_voxel", self.max_points_per_voxel, 1)
         for lo, hi, vs in zip(self.range_min, self.range_max, self.voxel_size):
             if vs <= 0:
                 raise ValueError("voxel_size must be positive")
@@ -95,11 +95,11 @@ def voxelize(cloud: PointCloud, grid: GridConfig) -> tuple[np.ndarray, np.ndarra
     uniq_keys, starts, counts = np.unique(keys_sorted, return_index=True, return_counts=True)
     group = np.repeat(np.arange(len(uniq_keys)), counts)
     rank = np.arange(len(keys_sorted)) - starts[group]
-    kept = rank < grid.max_points_per_voxel
+    kept = rank < MAX_POINTS_PER_VOXEL
 
     feats = np.zeros((len(uniq_keys), 3))
     np.add.at(feats, group[kept], xyz_sorted[kept])
-    feats /= np.minimum(counts, grid.max_points_per_voxel)[:, None]
+    feats /= np.minimum(counts, MAX_POINTS_PER_VOXEL)[:, None]
 
     return voxel_coords(uniq_keys, grid.spatial_shape), feats
 

@@ -11,16 +11,13 @@ import numpy as np
 
 from voxdet.config import RunConfig
 from voxdet.engine import Tensor
-from voxdet.network import NetworkConfig
 from voxdet.trainer import TrainConfig
 from voxdet.voxelizer import mini_grid
 
 
 def mini_run_config() -> RunConfig:
     """Desk-scale variant: 64x64x8 grid, short training schedule."""
-    grid = mini_grid()
-    return RunConfig(grid=grid, network=NetworkConfig(grid=grid),
-                     train=TrainConfig(batch_size=2, epochs=10))
+    return RunConfig(grid=mini_grid(), train=TrainConfig(batch_size=2, epochs=10))
 
 
 def zero_bias(weight) -> Tensor:

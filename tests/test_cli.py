@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 
 from voxdet import cli, evaluation, network, trainer, verify
 from voxdet.config import (
@@ -20,6 +21,7 @@ from voxdet.config import (
     dumps_config,
     load_config,
     loads_config,
+    to_dict,
 )
 from voxdet.detection_head import generate_anchors
 from voxdet.geometry import Box3D
@@ -133,6 +135,25 @@ def test_train_cfg_with_its_checkpoint_path_blocked_exits_4_before_training(pipe
     err = capsys.readouterr().err
     assert f"error: cannot write {out / 'cfg.ckpt'}: a directory is in the way" in err
     assert os.listdir(out) == ["cfg.ckpt"]  # no epoch checkpoint: training never started
+
+
+@pytest.mark.parametrize("command,prefix", [("train-cfg", "cfg"), ("train", "pfe")])
+def test_epoch_checkpoint_path_blocked_exits_4_before_training(pipeline, capsys, command, prefix):
+    base = pipeline["cfg"]
+    out = pipeline["root"] / f"blocked_{prefix}_epoch"
+    blocked = out / f"{prefix}_epoch0002.ckpt"
+    blocked.mkdir(parents=True)
+    cfg = replace(base, data=replace(base.data, out=str(out)),
+                  train=replace(base.train, epochs=2, checkpoint_every=1))
+    path = pipeline["root"] / f"blocked_{prefix}_epoch.yaml"
+    path.write_text(dumps_config(cfg))
+    argv = [command, "--config", str(path)]
+    if command == "train":
+        argv += ["--cfg-checkpoint", str(pipeline["root"] / "runs" / "cfg.ckpt")]
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    assert f"error: cannot write {blocked}: a directory is in the way" in err
+    assert os.listdir(out) == [blocked.name]  # no epoch checkpoint: training never started
 
 
 def test_train_without_reference_checkpoint_is_missing(pipeline, capsys):
@@ -340,16 +361,45 @@ _GRID = "  range_max: [32, 16, 2]\n  voxel_size: [0.5, 0.5, 0.5]\n"
 @pytest.mark.parametrize("text,field", [
     ("grid:\n  range_min: 5\n" + _GRID, "grid.range_min"),
     ("anchors:\n  dims: 3.9\n", "anchors.dims"),
-    ("network:\n  stage_channels: 16\n", "network.stage_channels"),
     ("grid:\n  range_min: [0, -16]\n" + _GRID, "range_min"),
     ("grid:\n  range_min: [0, -16, -2, 7]\n" + _GRID, "range_min"),
-], ids=["range_min_scalar", "dims_scalar", "stage_channels_scalar",
-        "range_min_two_values", "range_min_four_values"])
+], ids=["range_min_scalar", "dims_scalar", "range_min_two_values", "range_min_four_values"])
 def test_list_field_of_wrong_shape_exits_4_naming_it(tmp_path, capsys, text, field):
     path = tmp_path / "run.yaml"
     path.write_text(text)
     assert cli.main(["train-cfg", "--config", str(path)]) == 4
     assert f": {field} must " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,old,message", [
+    ("network", {"embed_channels": 128, "stage_channels": [16, 32, 64, 128],
+                 "deform_kernel": 5, "adapt_channels": 128, "head_channels": 128},
+     "unknown config section 'network'"),
+    ("grid", {"max_points_per_voxel": 5}, "unknown key 'max_points_per_voxel' in section 'grid'"),
+    ("train", {"clip_norm": None}, "clip_norm must be a finite number, got None"),
+], ids=["network_section", "max_points_per_voxel", "clip_norm_null"])
+def test_config_with_a_removed_setting_exits_4_naming_it(tmp_path, capsys, section, old, message):
+    tree = to_dict(mini_run_config())
+    tree[section] = {**tree.get(section, {}), **old}
+    path = tmp_path / "old.yaml"
+    path.write_text(yaml.safe_dump(tree, sort_keys=False))
+    assert cli.main(["train-cfg", "--config", str(path)]) == 4
+    assert f"error: config {path}: {message}\n" in capsys.readouterr().err
+
+
+def test_non_finite_point_exits_4_naming_the_file(tmp_path, capsys):
+    make_dataset(str(tmp_path / "scenes"), 1, 0, SceneRecipe(n_cars=1, base_points=40))
+    points = tmp_path / "scenes" / "scene_0000" / "points.bin"
+    raw = np.frombuffer(points.read_bytes(), dtype="<f4").copy()
+    raw[1] = np.nan
+    points.write_bytes(raw.tobytes())
+    cfg = replace(mini_run_config(), data=DataPaths(scenes=str(tmp_path / "scenes"),
+                                                    conceptual=str(tmp_path / "conceptual"),
+                                                    out=str(tmp_path / "runs")))
+    path = tmp_path / "run.yaml"
+    path.write_text(dumps_config(cfg))
+    assert cli.main(["build-conceptual", "--config", str(path)]) == 4
+    assert f"error: {points}: point coordinates must be finite\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -57,6 +57,15 @@ def test_read_truncated_record_errors(tmp_path):
         read_point_cloud(p)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_read_non_finite_coordinate_names_the_file(tmp_path, bad):
+    p = tmp_path / "points.bin"
+    p.write_bytes(np.array([[1, 2, 3, 0.5], [4, bad, 6, 0.5]], dtype="<f4").tobytes())
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(p))}: point coordinates must be finite$"):
+        read_point_cloud(p)
+
+
 def test_read_missing_file():
     with pytest.raises(FileNotFoundError):
         read_point_cloud("/nonexistent/file.bin")

@@ -42,7 +42,6 @@ def test_config_shape_arithmetic():
     assert cfg.bev_shape == (8, 8)
     assert cfg.height_out == 1
     assert cfg.bev_channels == 128
-    assert cfg.num_offset_channels == 50
 
     big = NetworkConfig(grid=default_grid())
     assert big.bev_shape == (200, 176)
@@ -53,10 +52,6 @@ def test_config_shape_arithmetic():
 def test_config_rejects_bad_shapes():
     with pytest.raises(ValueError, match="divisible"):
         NetworkConfig(grid=GridConfig((0, 0, 0), (6, 8, 4), (1, 1, 1)))
-    with pytest.raises(ValueError, match="odd"):
-        NetworkConfig(grid=mini_grid(), deform_kernel=4)
-    with pytest.raises(ValueError, match="four stages"):
-        NetworkConfig(grid=mini_grid(), stage_channels=(16, 32))
 
 
 def test_branch_parameter_registries_differ_only_in_offsets():
@@ -68,6 +63,42 @@ def test_branch_parameter_registries_differ_only_in_offsets():
         assert live[name] == shape
     assert live["adapt.weight"] == (128, 128, 5, 5)
     assert live["offsets.weight"] == (50, 128, 5, 5)
+
+
+# every parameter of the live branch on the mini grid (8x8 BEV, one height cell
+# left), in registry order: the checkpoint layout the constants must keep
+MINI_REGISTRY = {
+    "embed.weight": (128, 3), "embed.bias": (128,),
+    "backbone.s0.sub0.weight": (16, 128, 3, 3, 3), "backbone.s0.sub0.bias": (16,),
+    "backbone.s0.sub1.weight": (16, 16, 3, 3, 3), "backbone.s0.sub1.bias": (16,),
+    "backbone.s0.down.weight": (32, 16, 3, 3, 3), "backbone.s0.down.bias": (32,),
+    "backbone.s1.sub0.weight": (32, 32, 3, 3, 3), "backbone.s1.sub0.bias": (32,),
+    "backbone.s1.sub1.weight": (32, 32, 3, 3, 3), "backbone.s1.sub1.bias": (32,),
+    "backbone.s1.down.weight": (64, 32, 3, 3, 3), "backbone.s1.down.bias": (64,),
+    "backbone.s2.sub0.weight": (64, 64, 3, 3, 3), "backbone.s2.sub0.bias": (64,),
+    "backbone.s2.sub1.weight": (64, 64, 3, 3, 3), "backbone.s2.sub1.bias": (64,),
+    "backbone.s2.down.weight": (128, 64, 3, 3, 3), "backbone.s2.down.bias": (128,),
+    "backbone.s3.sub0.weight": (128, 128, 3, 3, 3), "backbone.s3.sub0.bias": (128,),
+    "backbone.s3.sub1.weight": (128, 128, 3, 3, 3), "backbone.s3.sub1.bias": (128,),
+    "backbone.s3.down.weight": (128, 128, 1, 1, 1), "backbone.s3.down.bias": (128,),
+    "adapt.weight": (128, 128, 5, 5), "adapt.bias": (128,),
+    "offsets.weight": (50, 128, 5, 5), "offsets.bias": (50,),
+    "head.stem.weight": (128, 128, 3, 3), "head.stem.bias": (128,),
+    "head.cls.weight": (2, 128, 1, 1), "head.cls.bias": (2,),
+    "head.reg.weight": (14, 128, 1, 1), "head.reg.bias": (14,),
+}
+# the default grid keeps two height cells: a 1x1x3 collapse and 256 BEV channels
+DEFAULT_REGISTRY = {**MINI_REGISTRY,
+                    "backbone.s3.down.weight": (128, 128, 1, 1, 3),
+                    "adapt.weight": (128, 256, 5, 5), "offsets.weight": (50, 256, 5, 5)}
+
+
+@pytest.mark.parametrize("grid,registry", [(mini_grid, MINI_REGISTRY),
+                                           (default_grid, DEFAULT_REGISTRY)],
+                         ids=["mini", "default"])
+def test_parameter_registry_is_pinned(grid, registry):
+    shapes = parameter_shapes(NetworkConfig(grid=grid()), with_offsets=True)
+    assert list(shapes.items()) == list(registry.items())
 
 
 def test_init_params_zero_offset_branch_and_biases():
@@ -212,7 +243,7 @@ def test_backbone_builds_one_submanifold_rulebook_per_stage(monkeypatch):
 def test_head_predicts_one_anchor_per_fixed_yaw():
     # the yaw count is not configurable: eval decodes against ANCHOR_YAWS
     with pytest.raises(ValueError, match="num_yaws"):
-        loads_config("network:\n  num_yaws: 1\n")
+        loads_config("anchors:\n  num_yaws: 1\n")
     params = init_params(mini_config(), seed=0)
     assert params["head.cls.weight"].data.shape[0] == len(ANCHOR_YAWS)
     assert params["head.reg.weight"].data.shape[0] == 7 * len(ANCHOR_YAWS)
@@ -236,7 +267,7 @@ def test_maps_that_fit_run_as_one_piece(monkeypatch):
         out = pfe_forward(sample_cloud(seed=12), params, cfg)
         tape.backward(engine.add(engine.tsum(out.cls_map), engine.tsum(out.reg_map)))
     assert len(counts) == 10  # offsets, deformable, stem, cls and reg: forward and backward
-    stem = Tensor(np.random.default_rng(13).uniform(-1, 1, (cfg.head_channels, 64, 64)),
+    stem = Tensor(np.random.default_rng(13).uniform(-1, 1, (network.HEAD_CHANNELS, 64, 64)),
                   requires_grad=True)
     for name in ("head.cls", "head.reg"):
         with Tape() as tape:

@@ -6,6 +6,8 @@ import pytest
 from voxdet.geometry import Box3D, points_in_box
 from voxdet.kitti_io import read_scene_dir
 from voxdet.synthetic import (
+    X_RANGE,
+    Y_RANGE,
     SceneRecipe,
     apply_shadows,
     car_shell_points,
@@ -72,8 +74,8 @@ def test_scene_boxes_fit_the_requested_area_and_do_not_overlap():
     cloud, boxes = synth_scene(recipe, [0, 0])
     assert len(boxes) == 5
     for b in boxes:
-        assert recipe.x_range[0] <= b.cx <= recipe.x_range[1]
-        assert recipe.y_range[0] <= b.cy <= recipe.y_range[1]
+        assert X_RANGE[0] <= b.cx <= X_RANGE[1]
+        assert Y_RANGE[0] <= b.cy <= Y_RANGE[1]
     for i, a in enumerate(boxes):
         for b in boxes[i + 1:]:
             assert clip_iou_bev(a, b) == 0.0

@@ -13,8 +13,6 @@ def small_grid():
 def test_grid_config_validation():
     with pytest.raises(ValueError, match="integral"):
         GridConfig((0, 0, 0), (4.3, 4, 2), (1, 1, 1))
-    with pytest.raises(ValueError, match="max_points"):
-        GridConfig((0, 0, 0), (4, 4, 2), (1, 1, 1), max_points_per_voxel=0)
     with pytest.raises(ValueError, match="positive"):
         GridConfig((0, 0, 0), (4, 4, 2), (1, 0.0, 1))
     assert mini_grid().spatial_shape == (64, 64, 8)
