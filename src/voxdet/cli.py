@@ -4,7 +4,7 @@
 `voxdet.verify`: finite-difference errors per differentiable op, and one
 line per oracle-equivalence suite.
 
-Exit codes: 0 success, 2 usage, 3 missing file, 4 failed validation.
+Exit codes: 0 ok, 2 usage, 3 missing or unreadable file, 4 failed validation.
 """
 from __future__ import annotations
 
@@ -173,10 +173,7 @@ def _cmd_eval(args) -> int:
     root = cfg.data.conceptual if args.dataset == "conceptual" else cfg.data.scenes
     scenes = [(c, b) for _, c, b in _load_dataset(root)]
     (report_path,) = _outputs(cfg.data.out, f"eval_{args.dataset}.txt")
-    report = evaluate(params, scenes, cfg.network, cfg.eval.iou_threshold,
-                      cfg.eval.interpolation, cfg.eval.metric,
-                      cfg.eval.score_threshold, cfg.eval.nms_iou, cfg.train.codec,
-                      anchors=cfg.anchors)
+    report = evaluate(params, scenes, cfg.network, cfg.eval, cfg.train.codec, cfg.anchors)
     text = format_report(report)
     with engine.atomic_write(report_path) as fh:
         fh.write(text)
@@ -323,7 +320,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except ValueError as exc:

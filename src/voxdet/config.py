@@ -12,11 +12,11 @@ from dataclasses import MISSING, dataclass, field, fields
 import yaml
 
 from .conceptual import ConceptualConfig
-from .detection_head import NMS_IOU_DEFAULT, AnchorConfig
-from .evaluation import METRIC_BEV, METRIC_3D
+from .detection_head import AnchorConfig
+from .evaluation import EvalConfig
 from .network import NetworkConfig
 from .trainer import TrainConfig
-from .voxelizer import GridConfig, default_grid, require_float, require_int
+from .voxelizer import GridConfig, default_grid
 
 
 @dataclass(frozen=True)
@@ -30,30 +30,6 @@ class DataPaths:
             value = getattr(self, name)
             if not isinstance(value, str) or not value:
                 raise ValueError(f"data.{name} must be a non-empty path, got {value!r}")
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    iou_threshold: float = 0.7
-    interpolation: int = 40
-    metric: str = METRIC_BEV
-    score_threshold: float = 0.1
-    nms_iou: float = NMS_IOU_DEFAULT
-
-    def __post_init__(self):
-        require_int("interpolation", self.interpolation, 11)
-        for name in ("iou_threshold", "score_threshold", "nms_iou"):
-            require_float(name, getattr(self, name))
-        if self.interpolation not in (11, 40):
-            raise ValueError("interpolation must be 11 or 40")
-        if self.metric not in (METRIC_BEV, METRIC_3D):
-            raise ValueError(f"metric must be '{METRIC_BEV}' or '{METRIC_3D}'")
-        if not (0.0 < self.iou_threshold <= 1.0):
-            raise ValueError("iou_threshold must be in (0, 1]")
-        if not (0.0 <= self.score_threshold <= 1.0):
-            raise ValueError("score_threshold must be in [0, 1]")
-        if not (0.0 <= self.nms_iou <= 1.0):
-            raise ValueError("nms_iou must be in [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from .voxelizer import GridConfig, require_float
 ANCHOR_DIMS = (3.9, 1.6, 1.56)
 ANCHOR_Z_CENTER = -1.0
 ANCHOR_YAWS = (0.0, math.pi / 2)
-POSITIVE_IOU = 0.6
+POSITIVE_IOU = 0.6  # anchor labelling thresholds (assign_targets), SECOND's
 NEGATIVE_IOU = 0.45
 NMS_IOU_DEFAULT = 0.1
 
@@ -71,23 +71,18 @@ def generate_anchors(feature_shape: tuple[int, int], grid: GridConfig,
 
 @dataclass(frozen=True)
 class AnchorConfig:
-    """Anchor size and height, and the IoU thresholds that label anchors."""
+    """Anchor size and height."""
 
     dims: tuple[float, float, float] = ANCHOR_DIMS
     z_center: float = ANCHOR_Z_CENTER
-    positive_iou: float = POSITIVE_IOU
-    negative_iou: float = NEGATIVE_IOU
 
     def __post_init__(self):
         for i, value in enumerate(self.dims):
             require_float(f"dims[{i}]", value)
-        for name in ("z_center", "positive_iou", "negative_iou"):
-            require_float(name, getattr(self, name))
+        require_float("z_center", self.z_center)
         object.__setattr__(self, "dims", tuple(float(v) for v in self.dims))
         if len(self.dims) != 3 or min(self.dims) <= 0:
             raise ValueError("anchor dims must be three positive numbers")
-        if not (0.0 <= self.negative_iou <= self.positive_iou <= 1.0):
-            raise ValueError("need 0 <= negative_iou <= positive_iou <= 1")
 
     def generate(self, feature_shape: tuple[int, int], grid: GridConfig) -> np.ndarray:
         """The anchors of a feature map, sized and placed by this config."""
@@ -185,12 +180,11 @@ class TargetAssignment:
 
 
 def assign_targets(anchors: np.ndarray, gts: Sequence[Box3D],
-                   pos_iou: float = POSITIVE_IOU, neg_iou: float = NEGATIVE_IOU,
                    convention: str = CONVENTION_PRINTED) -> TargetAssignment:
     """Label anchors against ground truth by rotated BEV IoU.
 
-    An anchor is positive when its best IoU reaches pos_iou, negative when
-    below neg_iou, ignored between.  Each box additionally forces its
+    An anchor is positive when its best IoU reaches POSITIVE_IOU, negative
+    when below NEGATIVE_IOU, ignored between.  Each box additionally forces its
     highest-IoU anchor positive (if that IoU is nonzero) so no box goes
     unclaimed; boxes are processed in order and a later box may retarget
     an anchor forced by an earlier one, but never one already positive by
@@ -210,8 +204,8 @@ def assign_targets(anchors: np.ndarray, gts: Sequence[Box3D],
     best_iou = iou.max(axis=1)
     best_gt = iou.argmax(axis=1)
     labels[:] = IGNORED
-    labels[best_iou < neg_iou] = NEGATIVE
-    threshold_pos = best_iou >= pos_iou
+    labels[best_iou < NEGATIVE_IOU] = NEGATIVE
+    threshold_pos = best_iou >= POSITIVE_IOU
     labels[threshold_pos] = POSITIVE
     matched[threshold_pos] = best_gt[threshold_pos]
 
@@ -268,7 +262,7 @@ def cfg_total_loss(bbox_loss: Tensor, cls_loss: Tensor) -> Tensor:
 
 
 def associate_total_loss(bbox_loss: Tensor, cls_loss: Tensor,
-                         assoc_loss: Tensor, sigma: float = 0.5) -> Tensor:
+                         assoc_loss: Tensor, sigma: float) -> Tensor:
     weighted = engine.mul(assoc_loss, Tensor(np.float64(sigma)))
     return engine.add(engine.add(bbox_loss, cls_loss), weighted)
 

@@ -27,6 +27,7 @@ floats throughout so finite-difference checks can run tight tolerances.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 from typing import Callable, Sequence
@@ -513,9 +514,11 @@ _CKPT_VERSION = 1
 
 
 def check_writable(path) -> None:
-    """A directory at `path` is a ValueError naming it: no file can replace it."""
-    if os.path.isdir(path):
-        raise ValueError(f"cannot write {os.fspath(path)}: a directory is in the way")
+    """A directory at `path`, or at the temporary `<path>.tmp` that atomic_write
+    opens, is a ValueError naming it: no file can replace it."""
+    for target in (os.fspath(path), f"{os.fspath(path)}.tmp"):
+        if os.path.isdir(target):
+            raise ValueError(f"cannot write {target}: a directory is in the way")
 
 
 @contextlib.contextmanager
@@ -523,12 +526,13 @@ def atomic_write(path, mode: str = "w"):
     """Open a temporary file beside `path` that replaces it once the block ends.
 
     A write that fails midway leaves the previous file intact and removes
-    the temporary one. A directory at `path` fails first (check_writable).
+    the temporary one. A directory at either path fails first (check_writable).
     """
     check_writable(path)
     tmp = f"{os.fspath(path)}.tmp"
+    f = open(tmp, mode)
     try:
-        with open(tmp, mode) as f:
+        with f:
             yield f
         os.replace(tmp, path)
     except BaseException:
@@ -586,10 +590,13 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
         name = bytes(take(name_len)).decode("utf-8")
+        if name in out:
+            raise ValueError(f"{path}: array {name!r} appears twice")
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}q", take(8 * ndim))
-        n = int(np.prod(shape)) if ndim else 1
-        out[name] = np.frombuffer(take(8 * n), dtype="<f8").reshape(shape).astype(np.float64)
+        if min(shape, default=0) < 0:
+            raise ValueError(f"{path}: array {name!r} has a negative dimension {shape}")
+        out[name] = np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape).astype(np.float64)
     if pos != len(raw):
         raise ValueError(f"{path}: {len(raw) - pos} trailing bytes")
     return out

@@ -25,6 +25,7 @@ from .detection_head import (
 from .geometry import Box3D, PointCloud, rotated_iou_3d_many, rotated_iou_bev_many
 from .engine import Tensor
 from .network import ForwardOutput, NetworkConfig, cfg_forward, pfe_forward
+from .voxelizer import require_float, require_int
 
 METRIC_BEV = "bev"
 METRIC_3D = "3d"
@@ -34,6 +35,30 @@ BUCKET_NAMES = ("0-20", "20-40", "40+")
 
 
 _OVERLAP = {METRIC_BEV: rotated_iou_bev_many, METRIC_3D: rotated_iou_3d_many}
+
+
+@dataclass(frozen=True)
+class EvalConfig:
+    iou_threshold: float = 0.7
+    interpolation: int = 40
+    metric: str = METRIC_BEV
+    score_threshold: float = 0.1
+    nms_iou: float = NMS_IOU_DEFAULT
+
+    def __post_init__(self):
+        require_int("interpolation", self.interpolation, 11)
+        for name in ("iou_threshold", "score_threshold", "nms_iou"):
+            require_float(name, getattr(self, name))
+        if self.interpolation not in (11, 40):
+            raise ValueError("interpolation must be 11 or 40")
+        if self.metric not in (METRIC_BEV, METRIC_3D):
+            raise ValueError(f"metric must be '{METRIC_BEV}' or '{METRIC_3D}'")
+        if not (0.0 < self.iou_threshold <= 1.0):
+            raise ValueError("iou_threshold must be in (0, 1]")
+        if not (0.0 <= self.score_threshold <= 1.0):
+            raise ValueError("score_threshold must be in [0, 1]")
+        if not (0.0 <= self.nms_iou <= 1.0):
+            raise ValueError("nms_iou must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -55,7 +80,7 @@ class EvalResult:
 
 
 def match_detections(det_boxes: Sequence[Box3D], scores, gts: Sequence[Box3D],
-                     iou_threshold: float, metric: str = METRIC_BEV):
+                     iou_threshold: float, metric: str = EvalConfig.metric):
     """Greedy score-descending matching within one scene.
 
     Returns (order, tp_flags, gt_idx): detection indices sorted by falling
@@ -155,8 +180,8 @@ def decode_detections(out: ForwardOutput, anchors: np.ndarray,
 
 def infer_detections(params: dict, cloud: PointCloud, net_config: NetworkConfig,
                      anchors: np.ndarray,
-                     score_threshold: float = 0.1,
-                     nms_iou: float = NMS_IOU_DEFAULT,
+                     score_threshold: float = EvalConfig.score_threshold,
+                     nms_iou: float = EvalConfig.nms_iou,
                      codec: str = CONVENTION_PRINTED):
     """Run the detector on one scene; returns (boxes, scores) best-first."""
     return decode_detections(run_branch(params, cloud, net_config), anchors,
@@ -167,15 +192,16 @@ def infer_detections(params: dict, cloud: PointCloud, net_config: NetworkConfig,
 class EvalReport:
     overall: EvalResult
     buckets: dict[str, EvalResult]
-    n_scenes: int = 0
-    iou_threshold: float = 0.7
-    interpolation: int = 40
-    metric: str = METRIC_BEV
+    n_scenes: int
+    iou_threshold: float
+    interpolation: int
+    metric: str
 
 
 def evaluate_detections(per_scene: Sequence[tuple[Sequence[Box3D], np.ndarray, Sequence[Box3D]]],
-                        iou_threshold: float = 0.7, interpolation: int = 40,
-                        metric: str = METRIC_BEV) -> EvalReport:
+                        iou_threshold: float = EvalConfig.iou_threshold,
+                        interpolation: int = EvalConfig.interpolation,
+                        metric: str = EvalConfig.metric) -> EvalReport:
     """Pool (detections, scores, gts) triples into one report.
 
     Matching stays inside each scene; the precision/recall sweep ranks all
@@ -209,19 +235,17 @@ def evaluate_detections(per_scene: Sequence[tuple[Sequence[Box3D], np.ndarray, S
 
 
 def evaluate(params: dict, scenes: Sequence[tuple[PointCloud, Sequence[Box3D]]],
-             net_config: NetworkConfig, iou_threshold: float = 0.7,
-             interpolation: int = 40, metric: str = METRIC_BEV,
-             score_threshold: float = 0.1, nms_iou: float = NMS_IOU_DEFAULT,
-             codec: str = CONVENTION_PRINTED,
-             anchors: AnchorConfig = AnchorConfig()) -> EvalReport:
+             net_config: NetworkConfig, settings: EvalConfig, codec: str,
+             anchors: AnchorConfig) -> EvalReport:
     """Detect on every scene and aggregate AP; deterministic end to end."""
     anchor_grid = anchors.generate(net_config.bev_shape, net_config.grid)
     per_scene = []
     for cloud, gts in scenes:
         boxes, scores = infer_detections(params, cloud, net_config, anchor_grid,
-                                         score_threshold, nms_iou, codec)
+                                         settings.score_threshold, settings.nms_iou, codec)
         per_scene.append((boxes, scores, list(gts)))
-    return evaluate_detections(per_scene, iou_threshold, interpolation, metric)
+    return evaluate_detections(per_scene, settings.iou_threshold, settings.interpolation,
+                               settings.metric)
 
 
 def format_report(report: EvalReport) -> str:

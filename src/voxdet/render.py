@@ -32,14 +32,9 @@ def world_to_pixel(x, y, grid: GridConfig, ppm_scale: int) -> tuple[np.ndarray, 
     return row, col
 
 
-def image_shape(grid: GridConfig, ppm_scale: int) -> tuple[int, int]:
+def blank_canvas(grid: GridConfig, ppm_scale: int) -> np.ndarray:
     nx, ny, _ = grid.spatial_shape
-    return ny * ppm_scale, nx * ppm_scale
-
-
-def blank_canvas(grid: GridConfig, ppm_scale: int = 4) -> np.ndarray:
-    h, w = image_shape(grid, ppm_scale)
-    img = np.empty((h, w, 3), dtype=np.uint8)
+    img = np.empty((ny * ppm_scale, nx * ppm_scale, 3), dtype=np.uint8)
     img[:] = BACKGROUND
     return img
 
@@ -51,7 +46,7 @@ def _paint(img: np.ndarray, rows, cols, color) -> None:
 
 
 def draw_points(img: np.ndarray, cloud: PointCloud, grid: GridConfig,
-                ppm_scale: int = 4) -> None:
+                ppm_scale: int) -> None:
     if len(cloud) == 0:
         return
     rows, cols = world_to_pixel(cloud.data[:, 0], cloud.data[:, 1], grid, ppm_scale)
@@ -59,7 +54,7 @@ def draw_points(img: np.ndarray, cloud: PointCloud, grid: GridConfig,
 
 
 def draw_box(img: np.ndarray, box: Box3D, grid: GridConfig,
-             ppm_scale: int = 4, color=GT_COLOR) -> None:
+             ppm_scale: int, color) -> None:
     corners = box_corners_bev(box)
     for i in range(4):
         a, b = corners[i], corners[(i + 1) % 4]
@@ -90,7 +85,7 @@ def heat_overlay(img: np.ndarray, weights: np.ndarray) -> None:
 
 
 def render_scene(cloud: PointCloud, gt_boxes: list[Box3D], pred_boxes: list[Box3D],
-                 grid: GridConfig, ppm_scale: int = 4,
+                 grid: GridConfig, ppm_scale: int,
                  weights: np.ndarray | None = None) -> np.ndarray:
     img = blank_canvas(grid, ppm_scale)
     draw_points(img, cloud, grid, ppm_scale)

@@ -59,6 +59,7 @@ _PHASE_CFG = 1
 _PHASE_PAIR = 2
 _CHUNK = 1 << 14  # elements per Adam pass: 128 KB per operand, so six operands stay in cache
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+_CLIP_NORM = 10.0  # global gradient norm each step is clipped to
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,6 @@ class TrainConfig:
     sigma: float = 0.5
     seed: int = 0
     augment: bool = True
-    clip_norm: float = 10.0
     count_mode: str = COUNT_FOREGROUND
     codec: str = CONVENTION_PRINTED
     checkpoint_every: int = 0
@@ -78,7 +78,7 @@ class TrainConfig:
         for name, minimum in (("batch_size", 1), ("epochs", 1), ("seed", 0),
                               ("checkpoint_every", 0)):
             require_int(name, getattr(self, name), minimum)
-        for name in ("base_lr", "sigma", "clip_norm"):
+        for name in ("base_lr", "sigma"):
             require_float(name, getattr(self, name))
         if not isinstance(self.augment, bool):
             raise ValueError(f"augment must be true or false, got {self.augment!r}")
@@ -86,8 +86,6 @@ class TrainConfig:
             raise ValueError("base_lr must be positive")
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
         if self.count_mode not in (COUNT_FOREGROUND, COUNT_NONZERO):
             raise ValueError(f"count_mode must be '{COUNT_FOREGROUND}' or '{COUNT_NONZERO}'")
         if self.codec not in (CONVENTION_PRINTED, CONVENTION_LINEAGE):
@@ -249,9 +247,8 @@ def augment_pair(pair: ScenePair, seed) -> ScenePair:
 
 # --- training phases ---------------------------------------------------------
 
-def _detection_losses(out, boxes, anchor_grid, anchors: AnchorConfig, codec):
-    assignment = assign_targets(anchor_grid, list(boxes), pos_iou=anchors.positive_iou,
-                                neg_iou=anchors.negative_iou, convention=codec)
+def _detection_losses(out, boxes, anchor_grid, codec):
+    assignment = assign_targets(anchor_grid, list(boxes), convention=codec)
     cls = focal_loss(flatten_cls_map(out.cls_map), assignment.labels)
     bbox = smooth_l1_loss(flatten_reg_map(out.reg_map), assignment)
     return bbox, cls
@@ -322,7 +319,7 @@ def _fit(samples, params: dict[str, Tensor], train_config: TrainConfig,
             lr = cosine_lr(step, total_steps, train_config.base_lr)
             _backpropagate([prepare(samples[idx], epoch, int(idx)) for idx in batch],
                            sample_loss, sums, epoch, step)
-            clip_gradients(params, train_config.clip_norm)
+            clip_gradients(params, _CLIP_NORM)
             opt.step(lr)
             opt.zero_grad()
             step += 1
@@ -351,7 +348,7 @@ def train_cfg(scenes: Sequence[tuple[PointCloud, Sequence[Box3D]]],
     def sample_loss(scene):
         cloud, boxes = scene
         out = cfg_forward(cloud, params, net_config)
-        bbox, cls = _detection_losses(out, boxes, anchor_grid, anchors, train_config.codec)
+        bbox, cls = _detection_losses(out, boxes, anchor_grid, train_config.codec)
         return {"bbox": bbox, "cls": cls}, cfg_total_loss(bbox, cls)
 
     log = _fit(scenes, params, train_config, prepare, sample_loss, "cfg", checkpoint_dir)
@@ -391,8 +388,7 @@ def train_associate(pairs: Sequence[ScenePair], cfg_params: dict[str, Tensor],
     def sample_loss(staged):
         pair, ref_adapt, fg = staged
         out = pfe_forward(pair.real, params, net_config)
-        bbox, cls = _detection_losses(out, pair.boxes, anchor_grid, anchors,
-                                      train_config.codec)
+        bbox, cls = _detection_losses(out, pair.boxes, anchor_grid, train_config.codec)
         reweight = reweighting_map(offset_length_map(out.offsets), fg)
         assoc = association_loss(out.adapt_feature, ref_adapt,
                                  reweight, train_config.count_mode)

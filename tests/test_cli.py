@@ -180,8 +180,7 @@ def test_train_from_a_live_checkpoint_as_reference_exits_4(pipeline, capsys):
 @pytest.mark.parametrize("command", ["train-cfg", "train"])
 def test_training_assigns_targets_with_the_configured_anchors(pipeline, monkeypatch,
                                                               command):
-    anchors = AnchorConfig(dims=(4.4, 1.9, 1.7), z_center=-0.6,
-                           positive_iou=0.5, negative_iou=0.3)
+    anchors = AnchorConfig(dims=(4.4, 1.9, 1.7), z_center=-0.6)
     base = pipeline["cfg"]
     cfg = replace(base, anchors=anchors,
                   data=replace(base.data, out=str(pipeline["root"] / f"anchors_{command}")),
@@ -203,9 +202,8 @@ def test_training_assigns_targets_with_the_configured_anchors(pipeline, monkeypa
     want = generate_anchors(cfg.network.bev_shape, cfg.grid, dims=anchors.dims,
                             z_center=anchors.z_center)
     assert len(seen) == 3  # one assignment per scene of the single epoch
-    for anchor_grid, kwargs in seen:
+    for anchor_grid, _ in seen:
         np.testing.assert_array_equal(anchor_grid, want)
-        assert (kwargs["pos_iou"], kwargs["neg_iou"]) == (0.5, 0.3)
 
 
 def test_eval_writes_report(pipeline, capsys):
@@ -258,6 +256,21 @@ def test_eval_report_path_holding_a_directory_exits_4(pipeline, tmp_path, capsys
     err = capsys.readouterr().err
     assert f"error: cannot write {report}: a directory is in the way" in err
     assert os.listdir(tmp_path / "runs") == ["eval_real.txt"]  # no temporary file left
+
+
+def test_eval_with_a_directory_at_the_temporary_path_exits_4_before_scoring(
+        pipeline, tmp_path, monkeypatch, capsys):
+    blocker = tmp_path / "runs" / "eval_real.txt.tmp"
+    blocker.mkdir(parents=True)
+    calls = []
+    monkeypatch.setattr(cli, "evaluate", lambda *args: calls.append(args))
+    rc = cli.main(["eval", "--config", pipeline["cfg_path"], "--out", str(tmp_path / "runs"),
+                   "--checkpoint", str(pipeline["root"] / "runs" / "pfe.ckpt")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {blocker}: a directory is in the way\n"
+    assert calls == []
+    assert os.listdir(tmp_path / "runs") == ["eval_real.txt.tmp"]
 
 
 def test_eval_truncated_checkpoint_exits_4(pipeline, tmp_path, capsys):
@@ -376,8 +389,12 @@ def test_list_field_of_wrong_shape_exits_4_naming_it(tmp_path, capsys, text, fie
                  "deform_kernel": 5, "adapt_channels": 128, "head_channels": 128},
      "unknown config section 'network'"),
     ("grid", {"max_points_per_voxel": 5}, "unknown key 'max_points_per_voxel' in section 'grid'"),
-    ("train", {"clip_norm": None}, "clip_norm must be a finite number, got None"),
-], ids=["network_section", "max_points_per_voxel", "clip_norm_null"])
+    ("train", {"clip_norm": None}, "unknown key 'clip_norm' in section 'train'"),
+    ("train", {"clip_norm": 10.0}, "unknown key 'clip_norm' in section 'train'"),
+    ("anchors", {"positive_iou": 0.6}, "unknown key 'positive_iou' in section 'anchors'"),
+    ("anchors", {"negative_iou": 0.45}, "unknown key 'negative_iou' in section 'anchors'"),
+], ids=["network_section", "max_points_per_voxel", "clip_norm_null", "clip_norm",
+        "positive_iou", "negative_iou"])
 def test_config_with_a_removed_setting_exits_4_naming_it(tmp_path, capsys, section, old, message):
     tree = to_dict(mini_run_config())
     tree[section] = {**tree.get(section, {}), **old}
@@ -400,6 +417,22 @@ def test_non_finite_point_exits_4_naming_the_file(tmp_path, capsys):
     path.write_text(dumps_config(cfg))
     assert cli.main(["build-conceptual", "--config", str(path)]) == 4
     assert f"error: {points}: point coordinates must be finite\n" in capsys.readouterr().err
+
+
+def test_unreadable_scene_file_exits_3_naming_it(tmp_path, capsys):
+    make_dataset(str(tmp_path / "scenes"), 1, 0, SceneRecipe(n_cars=1, base_points=40))
+    boxes = tmp_path / "scenes" / "scene_0000" / "boxes.txt"
+    boxes.unlink()
+    boxes.mkdir()
+    cfg = replace(mini_run_config(), data=DataPaths(scenes=str(tmp_path / "scenes"),
+                                                    conceptual=str(tmp_path / "conceptual"),
+                                                    out=str(tmp_path / "runs")))
+    path = tmp_path / "run.yaml"
+    path.write_text(dumps_config(cfg))
+    assert cli.main(["build-conceptual", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(boxes) in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,7 +4,6 @@ import pytest
 
 from voxdet import cli
 from voxdet.config import (
-    AnchorConfig,
     EvalConfig,
     RunConfig,
     default_run_config,
@@ -28,7 +27,6 @@ def test_defaults_carry_the_training_recipe():
     assert cfg.conceptual.m_bins == 24
     assert cfg.conceptual.k_percent == 20.0
     assert cfg.anchors.dims == (3.9, 1.6, 1.56)
-    assert cfg.anchors.positive_iou == 0.6
     assert cfg.grid.spatial_shape == (1408, 1600, 40)
     assert cfg.network.grid == cfg.grid
 
@@ -41,11 +39,11 @@ def test_yaml_roundtrip_is_lossless():
 def test_roundtrip_preserves_non_default_values():
     cfg = RunConfig(grid=mini_grid(),
                     train=TrainConfig(batch_size=2, epochs=3, sigma=0.25,
-                                      clip_norm=5.0),
+                                      base_lr=0.003),
                     eval=EvalConfig(iou_threshold=0.5, interpolation=11))
     back = loads_config(dumps_config(cfg))
     assert back == cfg
-    assert back.train.clip_norm == 5.0
+    assert back.train.base_lr == 0.003
     assert back.eval.interpolation == 11
 
 
@@ -91,11 +89,6 @@ def test_file_io(tmp_path):
     assert load_config(path) == cfg
     with pytest.raises(FileNotFoundError, match="missing.yaml"):
         load_config(tmp_path / "missing.yaml")
-
-
-def test_anchor_threshold_ordering_enforced():
-    with pytest.raises(ValueError, match="negative_iou"):
-        AnchorConfig(positive_iou=0.4, negative_iou=0.5)
 
 
 @pytest.mark.parametrize("text", [

@@ -449,7 +449,7 @@ def test_total_losses_compose():
     cls = Tensor(np.float64(1.25))
     assoc = Tensor(np.float64(0.4))
     assert cfg_total_loss(bbox, cls).item() == 2.0
-    assert associate_total_loss(bbox, cls, assoc).item() == pytest.approx(2.2, abs=1e-15)
+    assert associate_total_loss(bbox, cls, assoc, sigma=0.5).item() == pytest.approx(2.2, abs=1e-15)
     assert associate_total_loss(bbox, cls, assoc, sigma=0.0).item() == cfg_total_loss(bbox, cls).item()
     rng = np.random.default_rng(7)
     for _ in range(10):

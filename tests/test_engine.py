@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 import tracemalloc
 
 import numpy as np
@@ -685,6 +686,28 @@ def test_checkpoint_every_truncation_is_a_value_error(tmp_path):
         p.write_bytes(raw[:n])
         with pytest.raises(ValueError, match="truncated" if n >= 4 else "not a checkpoint"):
             load_checkpoint(p)
+
+
+def _checkpoint_bytes(*arrays: tuple[str, tuple[int, ...], int]) -> bytes:
+    """A version-1 checkpoint, written field by field: each array's name and
+    shape, then as many zero values as given, whatever the shape says."""
+    out = b"VDCK" + struct.pack("<II", 1, len(arrays))
+    for name, shape, n_values in arrays:
+        out += struct.pack("<H", len(name)) + name.encode() + struct.pack("<B", len(shape))
+        out += struct.pack(f"<{len(shape)}q", *shape) + bytes(8 * n_values)
+    return out
+
+
+@pytest.mark.parametrize("arrays,message", [
+    ((("w", (2, -1), 0), ("b", (2,), 2)), r"array 'w' has a negative dimension \(2, -1\)"),
+    ((("a", (2,), 2), ("a", (3,), 3)), "array 'a' appears twice"),
+    ((("a", (2 ** 32, 2 ** 32), 0),), "truncated checkpoint"),  # 2**64 wraps int64 to 0
+], ids=["negative_dimension", "repeated_name", "int64_overflowing_shape"])
+def test_checkpoint_rejects_a_malformed_array_naming_it(tmp_path, arrays, message):
+    p = tmp_path / "hand.ckpt"
+    p.write_bytes(_checkpoint_bytes(*arrays))
+    with pytest.raises(ValueError, match=f"^{p}: {message}$"):
+        load_checkpoint(p)
 
 
 def test_checkpoint_write_failing_midway_keeps_previous(tmp_path):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from voxdet import evaluation
-from voxdet.detection_head import AnchorConfig, generate_anchors
+from voxdet.detection_head import CONVENTION_PRINTED, AnchorConfig, generate_anchors
 from voxdet.evaluation import (
     METRIC_3D,
     METRIC_BEV,
+    EvalConfig,
     EvalReport,
     distance_bucket,
     evaluate,
@@ -264,7 +265,8 @@ def test_infer_detections_schema_on_untrained_model():
     assert all(isinstance(b, Box3D) for b in boxes)
     assert (np.diff(scores) <= 1e-15).all()  # best-first ordering
     rep = evaluate(params, [(cloud, [box_at(15, 0)])], net,
-                   iou_threshold=0.5, score_threshold=0.0)
+                   EvalConfig(iou_threshold=0.5, score_threshold=0.0),
+                   CONVENTION_PRINTED, AnchorConfig())
     assert isinstance(rep, EvalReport)
     assert rep.n_scenes == 1
 
@@ -284,7 +286,8 @@ def test_evaluate_detects_with_the_given_anchors(monkeypatch):
     cloud = PointCloud(np.column_stack([
         rng.uniform(10, 20, 30), rng.uniform(-5, 5, 30),
         rng.uniform(-1.5, 0.5, 30), rng.uniform(0, 1, 30)]))
-    evaluate(init_params(net, seed=0), [(cloud, [box_at(15, 0)])], net, anchors=anchors)
+    evaluate(init_params(net, seed=0), [(cloud, [box_at(15, 0)])], net, EvalConfig(),
+             CONVENTION_PRINTED, anchors)
     want = generate_anchors(net.bev_shape, net.grid, dims=anchors.dims,
                             z_center=anchors.z_center)
     assert len(seen) == 1

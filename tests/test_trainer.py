@@ -159,8 +159,6 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="base_lr"):
         TrainConfig(base_lr=0.0)
-    with pytest.raises(ValueError, match="clip_norm"):
-        TrainConfig(clip_norm=-1.0)
 
 
 def test_identity_transform_is_exact_noop():
