@@ -6,13 +6,15 @@ Tape.backward walks the records in reverse and accumulates gradients into
 the leaf tensors' .grad buffers. With no tape active the ops are plain
 eager numpy, which is what inference uses.
 
-A tape runs backward once. Each closure, and with it the arrays its op
-saved, is freed as soon as the walk has run it. The convolutions never hold
-a whole (C*kH*kW, H*W) patch or sample matrix unless it fits in
-`_PIECE_BYTES`: the forward builds it in tiles of whole output rows and the
-backward in blocks of input channels. `conv2d` saves only its padded input
-and each backward block rebuilds its own patches; `deform_conv2d` saves
-only its sampling plan, and each backward block samples its channels again
+A tape runs backward once. As the walk reaches a record it takes the
+record's closure, inputs and output, and lets go of them once the gradients
+are routed, so an activation nothing else holds is freed as soon as the
+walk has passed every op that used it. The convolutions never hold a whole
+(C*kH*kW, H*W) patch or sample matrix unless it fits in `_PIECE_BYTES`: the
+forward builds it in tiles of whole output rows and the backward in blocks
+of input channels. `conv2d` saves only its input: the backward pads it
+again and each block rebuilds its own patches; `deform_conv2d` saves only
+its sampling plan, and each backward block samples its channels again
 through one corner gather that also serves the offset gradient. A layer
 that fits runs as one piece; otherwise the pieces are large powers of two,
 for which OpenBLAS's blocked products keep the whole-matrix bytes.
@@ -108,10 +110,10 @@ class Tape:
     def backward(self, loss: Tensor, seed: np.ndarray | None = None) -> None:
         """Accumulate d(loss)/d(leaf) into every requires_grad leaf on this tape.
 
-        Runs once per tape: each record's closure, and with it every array
-        its op saved for the backward, is released as soon as the walk
-        reaches it. The records themselves, with their inputs and outputs,
-        stay.
+        Runs once per tape: as the walk reaches a record it takes out the
+        record's closure (and with it every array its op saved), inputs and
+        output, and drops them once the record's gradients are routed. The
+        records stay on the tape, emptied.
         """
         if self._spent:
             raise RuntimeError("Tape.backward runs once per tape: the first call released "
@@ -122,21 +124,30 @@ class Tape:
         seed = np.asarray(seed, dtype=np.float64).reshape(loss.data.shape)
         if loss.requires_grad and not loss._tracked:
             loss.accumulate_grad(seed)
-        # tracked intermediates' gradients wait here; leaves take theirs at once
+        # tracked intermediates' gradients wait here, keyed by id. Every input
+        # and output was alive when the walk began, so their ids are distinct,
+        # and a key whose tensor has since been freed matches no output left
         grads = {id(loss): seed}
         for rec in reversed(self.records):
-            backward, rec.backward = rec.backward, None
             gout = grads.pop(id(rec.output), None)
-            if gout is None:
-                continue
-            for t, g in zip(rec.inputs, backward(gout)):
-                if g is None:
-                    continue
-                if t._tracked:
-                    key = id(t)
-                    grads[key] = grads[key] + g if key in grads else g
-                elif t.requires_grad:
-                    t.accumulate_grad(g)
+            backward, inputs = rec.backward, rec.inputs
+            rec.backward = rec.inputs = rec.output = None
+            if gout is not None:
+                _route(grads, inputs, backward(gout))
+
+
+def _route(grads: dict, inputs: Sequence[Tensor], gins) -> None:
+    """Pass one record's input gradients on: a tracked input's waits in
+    `grads`, a leaf's goes into its .grad at once. The loop's names die at
+    the return, so the walk keeps no input or gradient of a walked record."""
+    for t, g in zip(inputs, gins):
+        if g is None:
+            continue
+        if t._tracked:
+            key = id(t)
+            grads[key] = grads[key] + g if key in grads else g
+        elif t.requires_grad:
+            t.accumulate_grad(g)
 
 
 def _record(inputs: Sequence[Tensor], out_data: np.ndarray, backward) -> Tensor:
@@ -331,6 +342,15 @@ def _check_kernel(op: str, x: Tensor, weight: Tensor) -> None:
         raise ValueError(f"{op} keeps the map's size, so its kernel must be odd, got {kh}x{kw}")
 
 
+def _pad(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """A (C, H, W) map with ph zero rows and pw zero columns on each side
+    (np.pad gives the same bytes at several times the cost on small maps)."""
+    c, h, w = x.shape
+    xp = np.zeros((c, h + 2 * ph, w + 2 * pw))
+    xp[:, ph:ph + h, pw:pw + w] = x
+    return xp
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Same-size cross-correlation of a (C_in, H, W) map with (C_out, C_in, kH, kW)
     filters: stride 1 and zero padding kH // 2, kW // 2, so the output is (C_out, H, W)."""
@@ -338,8 +358,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     c_in, h, w = x.data.shape
     c_out, _, kh, kw = weight.data.shape
     ph, pw = kh // 2, kw // 2
-    xp = np.zeros((c_in, h + 2 * ph, w + 2 * pw))
-    xp[:, ph:ph + h, pw:pw + w] = x.data
+    xp = _pad(x.data, ph, pw)
     w_mat = weight.data.reshape(c_out, -1)
     out = np.empty((c_out, h * w))
     for rows in _pieces(h, c_in * kh * kw * w * 8):
@@ -349,8 +368,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     out = out.reshape(c_out, h, w)
 
     def backward(g):
-        # each block rebuilds its patches from xp, forms its columns of d_w
-        # and drops them before its d_patches, their equal in size, comes
+        # x is padded again, as the forward did; each block rebuilds its
+        # patches from xp, forms its columns of d_w and drops them before
+        # its d_patches, their equal in size, comes
+        xp = _pad(x.data, ph, pw)
         g_mat = g.reshape(c_out, -1)
         d_w = np.empty_like(w_mat)
         d_xp = np.zeros_like(xp)
@@ -587,9 +608,12 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
     if version != _CKPT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     out: dict[str, np.ndarray] = {}
-    for _ in range(count):
+    for i in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = bytes(take(name_len)).decode("utf-8")
+        try:
+            name = bytes(take(name_len)).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: array {i} has a name that is not UTF-8") from exc
         if name in out:
             raise ValueError(f"{path}: array {name!r} appears twice")
         (ndim,) = struct.unpack("<B", take(1))

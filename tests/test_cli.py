@@ -5,6 +5,7 @@ train once per module and the individual tests pick over the artifacts.
 """
 import argparse
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -280,6 +281,16 @@ def test_eval_truncated_checkpoint_exits_4(pipeline, tmp_path, capsys):
     rc = cli.main(["eval", "--config", pipeline["cfg_path"], "--checkpoint", str(partial)])
     assert rc == 4
     assert "truncated checkpoint" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_with_a_name_not_utf8_exits_4_naming_it(pipeline, tmp_path, capsys):
+    bad = tmp_path / "bad_name.ckpt"
+    # one array whose one-byte name, 0xff, is not UTF-8
+    bad.write_bytes(b"VDCK" + struct.pack("<IIH", 1, 1, 1) + b"\xff" + struct.pack("<Bq", 1, 1)
+                    + bytes(8))
+    rc = cli.main(["eval", "--config", pipeline["cfg_path"], "--checkpoint", str(bad)])
+    assert rc == 4
+    assert f"{bad}: array 0 has a name that is not UTF-8" in capsys.readouterr().err
 
 
 def test_render_bev(pipeline, capsys):

@@ -2,6 +2,7 @@ import math
 import os
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from voxdet.engine import (
     bilinear_sample,
     conv2d,
     deform_conv2d,
+    exp,
     linear,
     load_checkpoint,
     matmul,
     mul,
+    neg,
     relu,
     reshape,
     save_checkpoint,
@@ -185,13 +188,14 @@ def test_tape_topological_order():
         a = mul(x, y)
         b = add(a, x)
         c = tsum(mul(b, a))
-        tape.backward(c)
+    # checked before the backward, which empties each record it walks
     produced = {}
     for i, rec in enumerate(tape.records):
         for t in rec.inputs:
             if id(t) in produced:
                 assert produced[id(t)] < i
         produced[id(rec.output)] = i
+    assert len(produced) == 4
 
 
 def test_gradients_flow_and_accumulate():
@@ -528,13 +532,21 @@ def _traced_conv_memory(op, c, size, k, with_offsets):
 _EIGHTH = 96 * 25 * 48 * 48
 
 
-def test_conv2d_keeps_its_padded_input_not_its_patches(monkeypatch):
+def test_conv2d_never_holds_a_whole_patch_matrix(monkeypatch):
     monkeypatch.setattr(eng, "_PIECE_BYTES", _EIGHTH, raising=False)
     fwd_peak, kept, peak, left, matrix = _traced_conv_memory(conv2d, 96, 48, 5, False)
     assert fwd_peak < matrix / 2  # one row tile of patches at a time
     assert kept < matrix / 2
     assert peak < matrix * 3 / 4  # one channel block of patches or their gradient
     assert left < matrix / 2
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_conv2d_keeps_only_its_output_beyond_its_inputs(k):
+    # the input it saves is already held; the backward pads it again
+    c, size = 16, 32
+    _, kept, _, _, _ = _traced_conv_memory(conv2d, c, size, k, False)
+    assert kept < c * size * size * 8 + 4096  # a padded copy would add at least as much again
 
 
 def test_deform_conv2d_never_holds_samples_and_their_gradient_together(monkeypatch):
@@ -563,6 +575,52 @@ def test_tape_backward_runs_once_and_releases_each_closure():
         tape.backward(loss)
     for t, want in zip((x, w, off), grads):
         assert np.array_equal(t.grad, want)  # the refused call added nothing
+
+
+def _probe_before(rec, check) -> None:
+    """Make a record's backward call `check(g)` before it runs."""
+    backward = rec.backward
+
+    def run(g):
+        check(g)
+        return backward(g)
+
+    rec.backward = run
+
+
+def test_tape_backward_frees_an_intermediate_once_walked_past():
+    # neg(relu(x)) feeds mul: once the walk has passed mul and neg, nothing
+    # holds neg's output, so it is gone before relu, which made neg's input
+    x = Tensor(rand((4, 5), 81), requires_grad=True)
+    with Tape() as tape:
+        b = neg(relu(x))
+        loss = tsum(mul(b, x))
+    b_data = weakref.ref(b.data)
+    del b
+    alive = []
+    _probe_before(tape.records[0], lambda g: alive.append(b_data() is not None))
+    tape.backward(loss)
+    assert alive == [False]
+    np.testing.assert_allclose(x.grad, -2.0 * np.maximum(x.data, 0.0), rtol=1e-15)
+
+
+def test_tape_backward_sums_a_fan_out_before_freeing_it():
+    # relu's output feeds three records; relu gets the sum of their three
+    # gradients, and the output is gone before neg, which made relu's input
+    x = Tensor(rand((4, 5), 82), requires_grad=True)
+    with Tape() as tape:
+        a = relu(neg(x))
+        loss = tsum(add(add(exp(a), mul(a, x)), smooth_l1(a)))
+    want = np.exp(a.data) + x.data + np.where(np.abs(a.data) < 1.0, a.data, 1.0)
+    a_data = weakref.ref(a.data)
+    del a
+    arrived, alive = [], []
+    _probe_before(tape.records[1], lambda g: arrived.append(g.copy()))
+    _probe_before(tape.records[0], lambda g: alive.append(a_data() is not None))
+    tape.backward(loss)
+    assert len(arrived) == 1
+    np.testing.assert_allclose(arrived[0], want, rtol=1e-14)
+    assert alive == [False]
 
 
 def test_one_tape_records_at_a_time():
@@ -688,12 +746,14 @@ def test_checkpoint_every_truncation_is_a_value_error(tmp_path):
             load_checkpoint(p)
 
 
-def _checkpoint_bytes(*arrays: tuple[str, tuple[int, ...], int]) -> bytes:
-    """A version-1 checkpoint, written field by field: each array's name and
-    shape, then as many zero values as given, whatever the shape says."""
+def _checkpoint_bytes(*arrays: tuple[str | bytes, tuple[int, ...], int]) -> bytes:
+    """A version-1 checkpoint, written field by field: each array's name (a
+    str is encoded as UTF-8, bytes go as they are) and shape, then as many
+    zero values as given, whatever the shape says."""
     out = b"VDCK" + struct.pack("<II", 1, len(arrays))
     for name, shape, n_values in arrays:
-        out += struct.pack("<H", len(name)) + name.encode() + struct.pack("<B", len(shape))
+        name = name.encode() if isinstance(name, str) else name
+        out += struct.pack("<H", len(name)) + name + struct.pack("<B", len(shape))
         out += struct.pack(f"<{len(shape)}q", *shape) + bytes(8 * n_values)
     return out
 
@@ -702,7 +762,8 @@ def _checkpoint_bytes(*arrays: tuple[str, tuple[int, ...], int]) -> bytes:
     ((("w", (2, -1), 0), ("b", (2,), 2)), r"array 'w' has a negative dimension \(2, -1\)"),
     ((("a", (2,), 2), ("a", (3,), 3)), "array 'a' appears twice"),
     ((("a", (2 ** 32, 2 ** 32), 0),), "truncated checkpoint"),  # 2**64 wraps int64 to 0
-], ids=["negative_dimension", "repeated_name", "int64_overflowing_shape"])
+    ((("a", (1,), 1), (b"\xff", (1,), 1)), "array 1 has a name that is not UTF-8"),
+], ids=["negative_dimension", "repeated_name", "int64_overflowing_shape", "name_not_utf8"])
 def test_checkpoint_rejects_a_malformed_array_naming_it(tmp_path, arrays, message):
     p = tmp_path / "hand.ckpt"
     p.write_bytes(_checkpoint_bytes(*arrays))
