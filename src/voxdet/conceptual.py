@@ -175,19 +175,12 @@ def match_candidate(target_points: PointCloud, target_box: Box3D,
     """
     bin_idx = bin_index(target_box.yaw, bank.m_bins)
     ids = bank.candidate_ids_for_bin(bin_idx)
-    if len(target_points) == 0:
-        winner = ids[0]
-        return ConceptualMatch(target_box, winner, math.inf,
-                               refine_and_place(bank.instances[winner], target_box))
     target_local = to_canonical(target_points, target_box)
-    winner = ids[0]
-    best = math.inf
-    for cid in ids:
-        cand = bank.instances[cid]
-        d = avg_closest_point_distance(target_local, cand.local_points)
+    winner, best = ids[0], math.inf
+    for cid in ids if len(target_points) else ():
+        d = avg_closest_point_distance(target_local, bank.instances[cid].local_points)
         if d < best:
-            best = d
-            winner = cid
+            best, winner = d, cid
     return ConceptualMatch(target_box, winner, best,
                            refine_and_place(bank.instances[winner], target_box))
 

@@ -257,10 +257,6 @@ def smooth_l1_loss(pred_deltas: Tensor, assignment: TargetAssignment) -> Tensor:
     return engine.tsum(engine.mul(engine.smooth_l1(diff), Tensor(mask)))
 
 
-def cfg_total_loss(bbox_loss: Tensor, cls_loss: Tensor) -> Tensor:
-    return engine.add(bbox_loss, cls_loss)
-
-
 def associate_total_loss(bbox_loss: Tensor, cls_loss: Tensor,
                          assoc_loss: Tensor, sigma: float) -> Tensor:
     weighted = engine.mul(assoc_loss, Tensor(np.float64(sigma)))

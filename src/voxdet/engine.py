@@ -48,14 +48,6 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._tracked = False
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return self.data.item()
 

@@ -34,7 +34,6 @@ from .detection_head import (
     AnchorConfig,
     assign_targets,
     associate_total_loss,
-    cfg_total_loss,
     flatten_cls_map,
     flatten_reg_map,
     focal_loss,
@@ -240,8 +239,7 @@ def augment_pair(pair: ScenePair, seed) -> ScenePair:
     """One shared transform draw applied to both scenes of the pair."""
     angle, scale, flip = draw_transform(np.random.default_rng(seed))
     real, boxes = apply_global_transform(pair.real, pair.boxes, angle, scale, flip)
-    conceptual, _ = apply_global_transform(pair.conceptual, pair.boxes,
-                                           angle, scale, flip)
+    conceptual, _ = apply_global_transform(pair.conceptual, (), angle, scale, flip)
     return ScenePair(real, conceptual, tuple(boxes))
 
 
@@ -262,11 +260,6 @@ def _require_finite(epoch, step, **parts):
             f"non-finite loss at epoch {epoch}, step {step}: {detail}")
 
 
-def _batches(order: np.ndarray, size: int):
-    for start in range(0, len(order), size):
-        yield order[start:start + size]
-
-
 def epoch_checkpoints(prefix: str, train_config: TrainConfig) -> dict[int, str]:
     """Epoch -> name of each per-epoch checkpoint a run saves (`checkpoint_every`)."""
     every = train_config.checkpoint_every
@@ -274,33 +267,33 @@ def epoch_checkpoints(prefix: str, train_config: TrainConfig) -> dict[int, str]:
             for epoch in range(1, train_config.epochs + 1) if every and epoch % every == 0}
 
 
-def _backpropagate(staged, sample_loss, sums: np.ndarray, epoch: int, step: int) -> None:
-    """Backpropagate the mean loss of one prepared batch on a tape of its own.
+def _backpropagate(samples, batch, sample_loss, sums: np.ndarray, epoch: int,
+                   step: int) -> None:
+    """Backpropagate the mean loss of one batch on a tape of its own.
 
-    Adds each sample's bbox, cls, assoc and total loss to `sums`. The tape,
-    the staged samples and every activation they hold are released on
-    return, before clipping, the Adam step and the next batch's prepare.
+    Adds each sample's bbox, cls, assoc and total loss to `sums`. The tape
+    and every activation it holds are released on return, before clipping,
+    the Adam step and the next batch.
     """
     with Tape() as tape:
         batch_loss = None
-        for item in staged:
-            parts, total = sample_loss(item)
+        for idx in batch:
+            parts, total = sample_loss(samples[idx], epoch, int(idx))
             values = {name: t.item() for name, t in parts.items()}
             _require_finite(epoch, step, **values)
             sums += (values["bbox"], values["cls"], values.get("assoc", 0.0), total.item())
             batch_loss = total if batch_loss is None else engine.add(batch_loss, total)
-        batch_loss = engine.mul(batch_loss, Tensor(np.float64(1.0 / len(staged))))
+        batch_loss = engine.mul(batch_loss, Tensor(np.float64(1.0 / len(batch))))
         tape.backward(batch_loss)
 
 
 def _fit(samples, params: dict[str, Tensor], train_config: TrainConfig,
-         prepare, sample_loss, prefix: str, checkpoint_dir) -> list[EpochStats]:
+         sample_loss, prefix: str, checkpoint_dir) -> list[EpochStats]:
     """The epoch/batch loop both phases share; updates params in place.
 
-    prepare(sample, epoch, index) runs outside the tape for each sample of a
-    batch before the batch's first loss. sample_loss(prepared) runs on the
-    tape and returns (parts, total): parts maps "bbox", "cls" and, on the
-    live branch, "assoc" to loss tensors. A missing "assoc" logs as 0.
+    sample_loss(sample, epoch, index) runs on the batch's tape and returns
+    (parts, total): parts maps "bbox", "cls" and, on the live branch,
+    "assoc" to loss tensors. A missing "assoc" logs as 0.
     """
     samples = list(samples)
     if not samples:
@@ -315,9 +308,9 @@ def _fit(samples, params: dict[str, Tensor], train_config: TrainConfig,
     for epoch in range(1, train_config.epochs + 1):
         order = np.random.default_rng([train_config.seed, epoch]).permutation(len(samples))
         sums = np.zeros(4)  # bbox, cls, assoc, total
-        for batch in _batches(order, train_config.batch_size):
+        for start in range(0, len(order), train_config.batch_size):
             lr = cosine_lr(step, total_steps, train_config.base_lr)
-            _backpropagate([prepare(samples[idx], epoch, int(idx)) for idx in batch],
+            _backpropagate(samples, order[start:start + train_config.batch_size],
                            sample_loss, sums, epoch, step)
             clip_gradients(params, _CLIP_NORM)
             opt.step(lr)
@@ -338,20 +331,16 @@ def train_cfg(scenes: Sequence[tuple[PointCloud, Sequence[Box3D]]],
     params = init_params(net_config, seed=train_config.seed, with_offsets=False)
     anchor_grid = anchors.generate(net_config.bev_shape, net_config.grid)
 
-    def prepare(scene, epoch, idx):
+    def sample_loss(scene, epoch, idx):
         cloud, boxes = scene
         if train_config.augment:
             rng = np.random.default_rng([train_config.seed, _PHASE_CFG, epoch, idx])
             cloud, boxes = apply_global_transform(cloud, boxes, *draw_transform(rng))
-        return cloud, boxes
-
-    def sample_loss(scene):
-        cloud, boxes = scene
         out = cfg_forward(cloud, params, net_config)
         bbox, cls = _detection_losses(out, boxes, anchor_grid, train_config.codec)
-        return {"bbox": bbox, "cls": cls}, cfg_total_loss(bbox, cls)
+        return {"bbox": bbox, "cls": cls}, engine.add(bbox, cls)
 
-    log = _fit(scenes, params, train_config, prepare, sample_loss, "cfg", checkpoint_dir)
+    log = _fit(scenes, params, train_config, sample_loss, "cfg", checkpoint_dir)
     return params, log
 
 
@@ -376,17 +365,14 @@ def train_associate(pairs: Sequence[ScenePair], cfg_params: dict[str, Tensor],
     copy_shared_into(params, frozen)
     anchor_grid = anchors.generate(net_config.bev_shape, net_config.grid)
 
-    def prepare(pair, epoch, idx):
+    def sample_loss(pair, epoch, idx):
         if train_config.augment:
             pair = augment_pair(pair, [train_config.seed, _PHASE_PAIR, epoch, idx])
-        # reference features and foreground come from the composed scene
+        # reference features and foreground come from the composed scene; the
+        # frozen weights take no gradient, so the tape records none of this
         ref_adapt = cfg_adapt_feature(pair.conceptual, frozen, net_config)
         fg = foreground_mask(pair.boxes, pair.conceptual, net_config.grid,
                              SPATIAL_DOWNSAMPLE)
-        return pair, ref_adapt, fg
-
-    def sample_loss(staged):
-        pair, ref_adapt, fg = staged
         out = pfe_forward(pair.real, params, net_config)
         bbox, cls = _detection_losses(out, pair.boxes, anchor_grid, train_config.codec)
         reweight = reweighting_map(offset_length_map(out.offsets), fg)
@@ -395,5 +381,5 @@ def train_associate(pairs: Sequence[ScenePair], cfg_params: dict[str, Tensor],
         total = associate_total_loss(bbox, cls, assoc, train_config.sigma)
         return {"bbox": bbox, "cls": cls, "assoc": assoc}, total
 
-    log = _fit(pairs, params, train_config, prepare, sample_loss, "pfe", checkpoint_dir)
+    log = _fit(pairs, params, train_config, sample_loss, "pfe", checkpoint_dir)
     return params, log

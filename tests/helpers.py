@@ -22,7 +22,7 @@ def mini_run_config() -> RunConfig:
 
 def zero_bias(weight) -> Tensor:
     """A zero bias for a (C_out, ...) convolution weight, array or Tensor."""
-    return Tensor(np.zeros(weight.shape[0]))
+    return Tensor(np.zeros(np.shape(getattr(weight, "data", weight))[0]))
 
 
 def read_ppm(path: str | os.PathLike) -> np.ndarray:

@@ -369,29 +369,49 @@ def test_train_associate_aborts_on_non_finite_loss():
                         TrainConfig(batch_size=1, epochs=1, seed=7))
 
 
-def test_fit_releases_each_batch_before_the_next_prepare():
+def test_frozen_reference_runs_on_the_live_step_tape_and_records_nothing(monkeypatch):
+    # the reference forward shares the live step's tape, but its weights take
+    # no gradient, so it adds no record for the backward to walk
+    added = []
+    adapt = trainer.cfg_adapt_feature
+
+    def spying(cloud, params, config):
+        tape = active_tape()
+        assert tape is not None
+        before = len(tape.records)
+        out = adapt(cloud, params, config)
+        added.append(len(tape.records) - before)
+        return out
+
+    monkeypatch.setattr(trainer, "cfg_adapt_feature", spying)
+    cloud, boxes = scene_fixture(seed=6)
+    pair = ScenePair(cloud, cloud, tuple(boxes))
+    net = mini_net()
+    cfg_params = init_params(net, seed=1, with_offsets=False)
+    train_associate([pair, pair], cfg_params, net, TrainConfig(batch_size=2, epochs=1, seed=3))
+    assert added == [0, 0]
+
+
+def test_fit_releases_each_batch_before_the_next_batch_starts():
     # a step's tape holds every activation of its batch; none of it may
-    # outlive the step into clipping, Adam and the next batch's prepare
+    # outlive the step into clipping, Adam and the next batch's first loss
     w = Tensor(np.ones(3), requires_grad=True)
-    tapes, consumed = [], []
+    tapes, activations = [], []
 
-    class Staged:
-        pass
-
-    def prepare(sample, epoch, idx):
-        assert all(ref() is None for ref in tapes + consumed)
-        return Staged()
-
-    def sample_loss(item):
-        tapes.append(weakref.ref(active_tape()))
-        consumed.append(weakref.ref(item))
-        bbox = tsum(mul(w, w))
+    def sample_loss(sample, epoch, idx):
+        tape = active_tape()
+        if not tapes or tapes[-1]() is not tape:  # the batch's first loss
+            assert all(ref() is None for ref in tapes + activations)
+            tapes.append(weakref.ref(tape))
+        square = mul(w, w)
+        activations.append(weakref.ref(square.data))
+        bbox = tsum(square)
         return {"bbox": bbox, "cls": bbox}, add(bbox, bbox)
 
-    log = _fit(range(4), {"w": w}, TrainConfig(batch_size=2, epochs=2), prepare,
-               sample_loss, "toy", None)
-    assert len(log) == 2 and len(tapes) == 8
-    assert all(ref() is None for ref in tapes + consumed)
+    log = _fit(range(4), {"w": w}, TrainConfig(batch_size=2, epochs=2), sample_loss,
+               "toy", None)
+    assert len(log) == 2 and len(tapes) == 4 and len(activations) == 8
+    assert all(ref() is None for ref in tapes + activations)
 
 
 def test_format_loss_log_roundtrips_floats():
